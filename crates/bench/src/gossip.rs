@@ -19,16 +19,17 @@
 //! `emit_bench_gossip` regenerator, which writes `BENCH_gossip.json`
 //! (methodology: EXPERIMENTS.md B11).
 
+use wfa::faults::backend::BackendSpec;
 use wfa::gossip::backend::GossipBackend;
 use wfa::gossip::config::GossipConfig;
 use wfa::kernel::backend::MemoryBackend;
 use wfa::kernel::memory::RegKey;
 use wfa::kernel::value::{Pid, Value};
-use wfa::net::config::{NetConfig, NetFault};
+use wfa::net::config::NetFault;
 use wfa::obs::local as obs_local;
 use wfa::obs::metrics::{Counter, MetricsHandle};
 
-use crate::throughput::{run_open_loop, BackendSpec};
+use crate::throughput::{abd, run_open_loop};
 
 /// The fault shape of one B11 gossip cell.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,14 +86,10 @@ impl GossipSpec {
         format!("gossip_n{}_i{}_{}", self.nodes, self.interval, self.plan.id())
     }
 
-    /// Builds the backend with the CLI's seed derivation (`seed ^ 0x7e7`).
-    pub fn build(&self, seed: u64) -> GossipBackend {
-        let mut net = NetConfig::new(self.nodes, seed ^ 0x7e7);
-        net.faults = self.plan.faults();
-        let mut cfg = GossipConfig { net, ..GossipConfig::new(self.nodes, seed ^ 0x7e7) }
-            .with_interval(self.interval);
-        cfg.allow_nonmonotone = false;
-        GossipBackend::new(cfg)
+    /// Builds the backend through [`BackendSpec`], with the plan's faults.
+    pub fn build(&self, seed: u64) -> Box<dyn MemoryBackend> {
+        let cfg = GossipConfig::new(self.nodes, 0).with_interval(self.interval);
+        BackendSpec::Gossip(cfg).build(seed, &self.plan.faults())
     }
 }
 
@@ -139,7 +136,11 @@ impl B11Stats {
 pub fn run_gossip_stream(ops: u64, pids: usize, keys: usize, spec: GossipSpec, seed: u64) -> B11Stats {
     let obs = MetricsHandle::counters();
     let keyset: Vec<RegKey> = (0..keys as u32).map(|i| RegKey::new(9).at(0, i)).collect();
-    let mut g = spec.build(seed);
+    let mut b = spec.build(seed);
+    let g = b
+        .as_any_mut()
+        .and_then(|a| a.downcast_mut::<GossipBackend>())
+        .expect("a gossip spec builds a gossip backend");
     let mut state = seed.wrapping_mul(2).wrapping_add(1);
     let mut next = move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -211,7 +212,7 @@ impl B11Row {
 pub fn b11_cells(ops: u64, base_seed: u64) -> Vec<B11Row> {
     let mut rows = Vec::new();
     for nodes in [4usize, 8] {
-        let abd = run_open_loop(ops, 4, 24, 1, BackendSpec::new(nodes, 1, 1), base_seed);
+        let abd = run_open_loop(ops, 4, 24, 1, &abd(nodes, 1, 1).1, base_seed);
         rows.push(B11Row {
             id: format!("abd/abd_n{nodes}"),
             stats: B11Stats {
@@ -263,7 +264,7 @@ mod tests {
     #[test]
     fn gossip_stream_undercuts_abd_and_stabilizes() {
         let ops = 2_000u64;
-        let abd = run_open_loop(ops, 4, 24, 1, BackendSpec::new(4, 1, 1), 7);
+        let abd = run_open_loop(ops, 4, 24, 1, &abd(4, 1, 1).1, 7);
         let spec = GossipSpec { nodes: 4, interval: 1, plan: GossipPlan::Clean };
         let gsp = run_gossip_stream(ops, 4, 24, spec, 7);
         assert_eq!(gsp.ops, ops);
@@ -353,7 +354,7 @@ mod tests {
         };
         let abd_rate = |nodes: usize| {
             ops_per_sec(SAMPLES, OPS, |s| {
-                run_open_loop(OPS, 4, 24, 1, BackendSpec::new(nodes, 1, 1), 1 + s);
+                run_open_loop(OPS, 4, 24, 1, &abd(nodes, 1, 1).1, 1 + s);
             })
         };
         // The deterministic counter matrix at a smaller budget (the shapes

@@ -17,8 +17,7 @@ use wfa::fd::pattern::FailurePattern;
 use wfa::kernel::backend::MemoryBackend;
 use wfa::kernel::process::DynProcess;
 use wfa::kernel::value::Value;
-use wfa::net::abd::AbdBackend;
-use wfa::net::config::NetConfig;
+use wfa::faults::backend::BackendSpec;
 use wfa::obs::metrics::MetricsHandle;
 use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 
@@ -51,8 +50,9 @@ pub fn run_ksa_observed(n: usize, k: usize, stab: u64, seed: u64, obs: &MetricsH
 /// [`run_ksa_observed`] over the ABD quorum-replicated register backend
 /// with `nodes` replicas (`0`: plain shared memory) — the driver behind the
 /// `net/*` bench family and the shm-vs-net overhead numbers in
-/// `BENCH_net.json`. Uses the CLI's `--backend net` seed derivation, so
-/// fixed-seed runs decide identically on both substrates.
+/// `BENCH_net.json`. Builds through [`BackendSpec`] like the CLI's
+/// `--backend net`, so fixed-seed runs decide identically on both
+/// substrates.
 ///
 /// # Panics
 ///
@@ -65,14 +65,13 @@ pub fn run_ksa_backend(
     obs: &MetricsHandle,
     nodes: usize,
 ) -> u64 {
-    let backend = (nodes > 0)
-        .then(|| Box::new(AbdBackend::new(NetConfig::new(nodes, seed ^ 0x7e7))) as Box<_>);
-    run_ksa_with(n, k, stab, seed, obs, backend)
+    let spec = if nodes > 0 { BackendSpec::net(nodes) } else { BackendSpec::Shm };
+    run_ksa_with(n, k, stab, seed, obs, spec.build(seed, &[]))
 }
 
-/// [`run_ksa_backend`] over an arbitrary pre-built [`MemoryBackend`]
-/// (`None`: plain shared memory) — the seam the B10 throughput driver uses
-/// to push the same pipeline over batched and sharded backends.
+/// [`run_ksa_backend`] over an arbitrary pre-built [`MemoryBackend`] — the
+/// seam the B10 throughput driver uses to push the same pipeline over
+/// batched and sharded backends.
 ///
 /// # Panics
 ///
@@ -83,7 +82,7 @@ pub fn run_ksa_with(
     stab: u64,
     seed: u64,
     obs: &MetricsHandle,
-    backend: Option<Box<dyn MemoryBackend>>,
+    backend: Box<dyn MemoryBackend>,
 ) -> u64 {
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
     let c: Vec<Box<dyn DynProcess>> = inputs
@@ -95,10 +94,7 @@ pub fn run_ksa_with(
         .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32)) as Box<dyn DynProcess>)
         .collect();
     let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, stab, seed);
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
-    if let Some(b) = backend {
-        run = run.with_backend(b);
-    }
+    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone()).with_backend(backend);
     let mut sched = run.fair_sched(seed ^ 0xb5);
     run.run_until_decided(&mut sched, 5_000_000)
         .expect("undecided C-processes in bench run")

@@ -26,63 +26,25 @@ use wfa::kernel::executor::Executor;
 use wfa::kernel::memory::{RegKey, SharedMemory};
 use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv};
 use wfa::kernel::value::{Pid, Value};
-use wfa::net::abd::{sharded_backend, AbdBackend};
-use wfa::net::config::{NetConfig, ShardMap};
+use wfa::faults::backend::BackendSpec;
+use wfa::net::config::NetConfig;
 use wfa::obs::local as obs_local;
 use wfa::obs::metrics::{Counter, MetricsHandle};
 use wfa::algorithms::renaming::RenamingFig4;
 
 use crate::run_ksa_with;
 
-/// The backend shape of one B10 cell: `shards` independent replica groups
-/// of `nodes` replicas each, every group batching up to `batch_max`
-/// same-pid ops per quorum round.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BackendSpec {
-    /// Replicas per shard group.
-    pub nodes: usize,
-    /// Independent replica groups (`1` = the classic unsharded backend).
-    pub shards: usize,
-    /// `NetConfig::batch_max` for every group (`1` = unbatched).
-    pub batch_max: u64,
-}
-
-impl BackendSpec {
-    /// Unsharded `nodes`-replica backend with batching factor `batch_max`.
-    pub fn new(nodes: usize, shards: usize, batch_max: u64) -> BackendSpec {
-        BackendSpec { nodes, shards, batch_max }
+/// The ABD shape of one B10 cell: `shards` independent replica groups of
+/// `nodes` replicas each, every group batching up to `batch_max` same-pid
+/// ops per quorum round (`1` = unbatched). Returns the stable row-id
+/// fragment (e.g. `abd_n8`, `abd_n8_b16`, `abd_2x6_b4`) and the spec.
+pub fn abd(nodes: usize, shards: usize, batch_max: u64) -> (String, BackendSpec) {
+    let mut id =
+        if shards > 1 { format!("abd_{shards}x{nodes}") } else { format!("abd_n{nodes}") };
+    if batch_max > 1 {
+        id += &format!("_b{batch_max}");
     }
-
-    /// Total replicas across all groups.
-    pub fn total_replicas(&self) -> usize {
-        self.nodes * self.shards
-    }
-
-    /// Stable row-id fragment, e.g. `abd_n8`, `abd_n8_b16`, `abd_2x6_b4`.
-    pub fn id(&self) -> String {
-        let base = if self.shards > 1 {
-            format!("abd_{}x{}", self.shards, self.nodes)
-        } else {
-            format!("abd_n{}", self.nodes)
-        };
-        if self.batch_max > 1 {
-            format!("{base}_b{}", self.batch_max)
-        } else {
-            base
-        }
-    }
-
-    /// Builds the backend with the CLI's seed derivation (`seed ^ 0x7e7`),
-    /// so fixed-seed cells replay the identical network.
-    pub fn build(&self, seed: u64) -> Box<dyn MemoryBackend> {
-        let mut cfg = NetConfig::new(self.nodes, seed ^ 0x7e7);
-        cfg.batch_max = self.batch_max;
-        if self.shards > 1 {
-            Box::new(sharded_backend(&cfg, &ShardMap::new(self.shards, self.nodes)))
-        } else {
-            Box::new(AbdBackend::new(cfg))
-        }
-    }
+    (id, BackendSpec::Net { cfg: NetConfig { batch_max, ..NetConfig::new(nodes, 0) }, shards })
 }
 
 /// Deterministic outcome of one throughput cell. Every field is a pure
@@ -176,7 +138,7 @@ impl Pipeline {
     fn run_once(&self, backend: Box<dyn MemoryBackend>, seed: u64, obs: &MetricsHandle) -> u64 {
         match *self {
             Pipeline::Ksa { n, k, stab } => {
-                run_ksa_with(n, k, stab, seed, obs, Some(backend))
+                run_ksa_with(n, k, stab, seed, obs, backend)
             }
             Pipeline::Rename { j, conc } => {
                 let m = j + 1;
@@ -197,7 +159,7 @@ impl Pipeline {
 /// until at least `target_ops` register ops went through the backend.
 pub fn run_closed_loop(
     pipeline: Pipeline,
-    be: BackendSpec,
+    be: &BackendSpec,
     target_ops: u64,
     base_seed: u64,
 ) -> CellStats {
@@ -205,7 +167,7 @@ pub fn run_closed_loop(
     let (mut runs, mut slots) = (0u64, 0u64);
     while obs.get(Counter::OpReads) + obs.get(Counter::OpWrites) < target_ops {
         let seed = base_seed + runs;
-        slots += pipeline.run_once(be.build(seed), seed, &obs);
+        slots += pipeline.run_once(be.build(seed, &[]), seed, &obs);
         runs += 1;
     }
     CellStats::read(&obs, runs, slots, None)
@@ -221,11 +183,11 @@ pub fn run_closed_loop(
 /// # Panics
 ///
 /// Panics if the backend disagrees with the mirror (linearizability bug).
-pub fn run_open_loop(ops: u64, pids: usize, keys: usize, burst: u64, be: BackendSpec, seed: u64) -> CellStats {
+pub fn run_open_loop(ops: u64, pids: usize, keys: usize, burst: u64, be: &BackendSpec, seed: u64) -> CellStats {
     let obs = MetricsHandle::counters();
     let keyset: Vec<RegKey> =
         (0..keys as u32).map(|i| RegKey::new(9).at(0, i)).collect();
-    let mut backend = be.build(seed);
+    let mut backend = be.build(seed, &[]);
     let mut mirror = SharedMemory::new();
     let mut state = seed.wrapping_mul(2).wrapping_add(1);
     let mut next = move || {
@@ -301,31 +263,31 @@ pub fn b10_cells(target_ops: u64, base_seed: u64) -> Vec<B10Row> {
     let rename = Pipeline::Rename { j: 3, conc: 2 };
     let mut rows = Vec::new();
     for b in [1, 4, 16] {
-        let be = BackendSpec::new(8, 1, b);
+        let (be, spec) = abd(8, 1, b);
         rows.push(B10Row {
-            id: format!("batch/{}/{}", ksa.id(), be.id()),
-            stats: run_closed_loop(ksa, be, target_ops, base_seed),
+            id: format!("batch/{}/{be}", ksa.id()),
+            stats: run_closed_loop(ksa, &spec, target_ops, base_seed),
         });
     }
     for (shards, nodes) in [(1, 12), (2, 6), (4, 3)] {
-        let be = BackendSpec::new(nodes, shards, 4);
+        let (be, spec) = abd(nodes, shards, 4);
         rows.push(B10Row {
-            id: format!("shard/{}/{}", ksa.id(), be.id()),
-            stats: run_closed_loop(ksa, be, target_ops, base_seed),
+            id: format!("shard/{}/{be}", ksa.id()),
+            stats: run_closed_loop(ksa, &spec, target_ops, base_seed),
         });
     }
     for b in [1, 16] {
-        let be = BackendSpec::new(4, 1, b);
+        let (be, spec) = abd(4, 1, b);
         rows.push(B10Row {
-            id: format!("rename/{}/{}", rename.id(), be.id()),
-            stats: run_closed_loop(rename, be, target_ops, base_seed),
+            id: format!("rename/{}/{be}", rename.id()),
+            stats: run_closed_loop(rename, &spec, target_ops, base_seed),
         });
     }
     for (burst, b) in [(1, 16), (16, 1), (16, 16)] {
-        let be = BackendSpec::new(8, 1, b);
+        let (be, spec) = abd(8, 1, b);
         rows.push(B10Row {
-            id: format!("stream/burst{burst}/{}", be.id()),
-            stats: run_open_loop(target_ops, 4, 24, burst, be, base_seed),
+            id: format!("stream/burst{burst}/{be}"),
+            stats: run_open_loop(target_ops, 4, 24, burst, &spec, base_seed),
         });
     }
     rows
@@ -351,7 +313,7 @@ mod tests {
     fn closed_loop_meets_its_op_target_and_counts_messages() {
         let stats = run_closed_loop(
             Pipeline::Ksa { n: 4, k: 2, stab: 50 },
-            BackendSpec::new(4, 1, 1),
+            &abd(4, 1, 1).1,
             500,
             1,
         );
@@ -367,13 +329,13 @@ mod tests {
     fn batching_cuts_messages_on_the_same_pipeline() {
         let plain = run_closed_loop(
             Pipeline::Ksa { n: 4, k: 2, stab: 50 },
-            BackendSpec::new(8, 1, 1),
+            &abd(8, 1, 1).1,
             400,
             1,
         );
         let batched = run_closed_loop(
             Pipeline::Ksa { n: 4, k: 2, stab: 50 },
-            BackendSpec::new(8, 1, 16),
+            &abd(8, 1, 16).1,
             400,
             1,
         );
@@ -395,7 +357,7 @@ mod tests {
 
     #[test]
     fn sharding_splits_traffic_across_groups() {
-        let stats = run_open_loop(2_000, 4, 24, 8, BackendSpec::new(3, 4, 1), 7);
+        let stats = run_open_loop(2_000, 4, 24, 8, &abd(3, 4, 1).1, 7);
         assert_eq!(stats.ops, 2_000);
         assert_eq!(stats.shard_msgs.iter().sum::<u64>(), stats.msgs);
         assert!(
@@ -406,8 +368,8 @@ mod tests {
 
     #[test]
     fn open_loop_burst_one_defeats_batching() {
-        let adversarial = run_open_loop(1_000, 4, 24, 1, BackendSpec::new(4, 1, 16), 3);
-        let bursty = run_open_loop(1_000, 4, 24, 16, BackendSpec::new(4, 1, 16), 3);
+        let adversarial = run_open_loop(1_000, 4, 24, 1, &abd(4, 1, 16).1, 3);
+        let bursty = run_open_loop(1_000, 4, 24, 16, &abd(4, 1, 16).1, 3);
         // Interleaved arrivals flush every one-op batch; bursty arrivals
         // coalesce — same ops, very different message bills.
         assert!(bursty.msgs * 4 <= adversarial.msgs, "{bursty:?} vs {adversarial:?}");
@@ -432,6 +394,9 @@ mod tests {
         (med, xs[0], xs[xs.len() - 1], var / (med * med))
     }
 
+    /// `(nodes, shards, batch_max)` of one emitted row.
+    type Shape = (usize, usize, u64);
+
     /// Regenerates `BENCH_net_throughput.json` at the repository root:
     /// `cargo test -p wfa-bench --release emit_bench_net_throughput -- --ignored --nocapture`
     #[test]
@@ -443,51 +408,36 @@ mod tests {
         let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
         // Open-loop stream, bursty arrivals (per-process loops): the
         // headline batching and sharding curves.
-        let stream = |be: BackendSpec| {
+        let stream = |(nodes, shards, batch): Shape| {
             ops_per_sec(SAMPLES, STREAM_OPS, |s| {
-                run_open_loop(STREAM_OPS, 4, 24, 16, be, 1 + s);
+                run_open_loop(STREAM_OPS, 4, 24, 16, &abd(nodes, shards, batch).1, 1 + s);
             })
         };
         // Closed-loop ksa pipeline: honest end-to-end numbers where the
         // fair scheduler limits coalescing to snapshot steps.
-        let pipe = |be: BackendSpec| {
+        let pipe = |(nodes, shards, batch): Shape| {
+            let spec = abd(nodes, shards, batch).1;
             ops_per_sec(SAMPLES, PIPE_OPS, |s| {
-                run_closed_loop(Pipeline::Ksa { n: 4, k: 2, stab: 50 }, be, PIPE_OPS, 1 + s * 97);
+                run_closed_loop(Pipeline::Ksa { n: 4, k: 2, stab: 50 }, &spec, PIPE_OPS, 1 + s * 97);
             })
         };
-        let row = |curve: &str, be: BackendSpec, (med, min, max, var): (f64, f64, f64, f64)| {
+        let row = |curve: &str, (nodes, shards, batch): Shape, (med, min, max, var): (f64, f64, f64, f64)| {
             format!(
-                "      {{\"id\": \"{curve}/{}\", \"shards\": {}, \"nodes\": {}, \
-                 \"batch_max\": {}, \"median_ops_per_sec\": {med:.0}, \"min_ops_per_sec\": \
+                "      {{\"id\": \"{curve}/{}\", \"shards\": {shards}, \"nodes\": {nodes}, \
+                 \"batch_max\": {batch}, \"median_ops_per_sec\": {med:.0}, \"min_ops_per_sec\": \
                  {min:.0}, \"max_ops_per_sec\": {max:.0}, \"rel_variance\": {var:.4}, \
                  \"samples\": {SAMPLES}}}",
-                be.id(),
-                be.shards,
-                be.nodes,
-                be.batch_max
+                abd(nodes, shards, batch).0,
             )
         };
-        let batch_curve: Vec<(BackendSpec, _)> = [1u64, 2, 4, 8, 16]
+        let batch_curve: Vec<(Shape, _)> =
+            [1u64, 2, 4, 8, 16].iter().map(|&b| ((8, 1, b), stream((8, 1, b)))).collect();
+        let shard_curve: Vec<(Shape, _)> = [(1usize, 12usize), (2, 6), (4, 3)]
             .iter()
-            .map(|&b| {
-                let be = BackendSpec::new(8, 1, b);
-                (be, stream(be))
-            })
+            .map(|&(s, n)| ((n, s, 1), stream((n, s, 1))))
             .collect();
-        let shard_curve: Vec<(BackendSpec, _)> = [(1usize, 12usize), (2, 6), (4, 3)]
-            .iter()
-            .map(|&(s, n)| {
-                let be = BackendSpec::new(n, s, 1);
-                (be, stream(be))
-            })
-            .collect();
-        let pipe_rows: Vec<(BackendSpec, _)> = [1u64, 16]
-            .iter()
-            .map(|&b| {
-                let be = BackendSpec::new(8, 1, b);
-                (be, pipe(be))
-            })
-            .collect();
+        let pipe_rows: Vec<(Shape, _)> =
+            [1u64, 16].iter().map(|&b| ((8, 1, b), pipe((8, 1, b)))).collect();
         let b16_vs_b1 = batch_curve[4].1 .0 / batch_curve[0].1 .0;
         let sharded_vs_flat = shard_curve[2].1 .0 / shard_curve[0].1 .0;
         assert!(

@@ -38,54 +38,39 @@ use wfa::modelcheck::lemma11::{refute_strong_2_renaming, BoxedAuto, ConsensusVia
 use wfa::obs::json::Json;
 use wfa::obs::metrics::{MetricsHandle, Snapshot};
 use wfa::obs::span::timeline;
-use wfa::gossip::backend::GossipBackend;
+use wfa::faults::backend::BackendSpec;
 use wfa::gossip::config::GossipConfig;
-use wfa::net::abd::AbdBackend;
 use wfa::net::config::NetConfig;
 use wfa::tasks::agreement::SetAgreement;
 use wfa::tasks::renaming::Renaming;
 use wfa::tasks::task::Task;
 
-/// Builds the register backend selected by `--backend`: `None` for the
-/// in-process shared memory (`shm`, the default), the ABD emulation over
-/// `nodes` simulated replicas (`net`) — optionally batching up to
-/// `batch_max` same-pid ops per quorum round (`--batch-max`, default 1 =
-/// the e14-pinned classic path) and splitting the register space across
-/// `shards` independent replica groups of `nodes` replicas each
-/// (`--shards`, default 1) — or the delta-CRDT anti-entropy substrate over
-/// `nodes` replicas (`gossip`), with an exchange round every
-/// `gossip_interval` ops (`--gossip-interval`, default 1) and the
-/// non-monotone guard disarmed by `gossip_unsafe` (`--gossip-unsafe`).
-/// Backend seeds derive from the run seed so `--seed` fully determines the
-/// network too.
-fn select_backend(
-    backend: &str,
-    nodes: usize,
-    seed: u64,
-    batch_max: u64,
-    shards: usize,
-    gossip_interval: u64,
-    gossip_unsafe: bool,
-) -> Result<Option<Box<dyn wfa::kernel::backend::MemoryBackend>>, String> {
+/// The register substrate named by `--backend`: the in-process shared
+/// memory (`shm`, the default), the ABD emulation over `--net-nodes`
+/// replicas (`net`) — batching up to `--batch-max` same-pid ops per quorum
+/// round (default 1, the e14-pinned classic path) and split into
+/// `--shards` independent replica groups (default 1) — or the delta-CRDT
+/// anti-entropy substrate over `--net-nodes` replicas (`gossip`), with an
+/// exchange round every `--gossip-interval` ops (default 1) and the
+/// non-monotone guard disarmed by `--gossip-unsafe`. `--net-nodes`
+/// defaults to `nodes`. The spec is built from the run seed, so `--seed`
+/// fully determines the network too.
+fn backend_spec(backend: &str, args: &Args, nodes: usize) -> Result<BackendSpec, String> {
+    let nodes: usize = args.get("net-nodes", nodes)?;
+    let batch_max: u64 = args.get("batch-max", 1)?;
+    let shards: usize = args.get("shards", 1)?;
+    let gossip_interval: u64 = args.get("gossip-interval", 1)?;
+    let gossip_unsafe: bool = args.get("gossip-unsafe", false)?;
     match backend {
-        "shm" => Ok(None),
-        "net" => {
-            let mut cfg = NetConfig::new(nodes, seed ^ 0x7e7);
-            cfg.batch_max = batch_max.max(1);
-            Ok(Some(if shards > 1 {
-                Box::new(wfa::net::abd::sharded_backend(
-                    &cfg,
-                    &wfa::net::config::ShardMap::new(shards, nodes),
-                ))
-            } else {
-                Box::new(AbdBackend::new(cfg))
-            }))
-        }
-        "gossip" => {
-            let mut cfg = GossipConfig::new(nodes, seed ^ 0x7e7).with_interval(gossip_interval);
-            cfg.allow_nonmonotone = gossip_unsafe;
-            Ok(Some(Box::new(GossipBackend::new(cfg))))
-        }
+        "shm" => Ok(BackendSpec::Shm),
+        "net" => Ok(BackendSpec::Net {
+            cfg: NetConfig { batch_max: batch_max.max(1), ..NetConfig::new(nodes, 0) },
+            shards,
+        }),
+        "gossip" => Ok(BackendSpec::Gossip(GossipConfig {
+            allow_nonmonotone: gossip_unsafe,
+            ..GossipConfig::new(nodes, 0).with_interval(gossip_interval)
+        })),
         other => Err(format!("unknown backend `{other}` (try: shm, net, gossip)")),
     }
 }
@@ -130,11 +115,6 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
     let crashes: usize = args.get("crashes", 1)?;
     let as_json: bool = args.get("json", false)?;
     let backend = args.get("backend", "shm".to_string())?;
-    let net_nodes: usize = args.get("net-nodes", n)?;
-    let batch_max: u64 = args.get("batch-max", 1)?;
-    let shards: usize = args.get("shards", 1)?;
-    let gossip_interval: u64 = args.get("gossip-interval", 1)?;
-    let gossip_unsafe: bool = args.get("gossip-unsafe", false)?;
     if k == 0 || k > n {
         return Err("need 1 ≤ k ≤ n".into());
     }
@@ -159,12 +139,9 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
         })
         .collect();
     let obs = MetricsHandle::counters();
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
-    if let Some(b) =
-        select_backend(&backend, net_nodes, seed, batch_max, shards, gossip_interval, gossip_unsafe)?
-    {
-        run = run.with_backend(b);
-    }
+    let spec = backend_spec(&backend, args, n)?;
+    let mut run =
+        EfdRun::new(c, s, fd).with_metrics(obs.clone()).with_backend(spec.build(seed, &[]));
     let mut sched = run.fair_sched(seed ^ 0xc11);
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let task = SetAgreement::new(n, k);
@@ -247,11 +224,7 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
     let seeds: u64 = args.get("seeds", 60)?;
     let as_json: bool = args.get("json", false)?;
     let backend = args.get("backend", "shm".to_string())?;
-    let net_nodes: usize = args.get("net-nodes", j)?;
-    let batch_max: u64 = args.get("batch-max", 1)?;
-    let shards: usize = args.get("shards", 1)?;
-    let gossip_interval: u64 = args.get("gossip-interval", 1)?;
-    let gossip_unsafe: bool = args.get("gossip-unsafe", false)?;
+    let spec = backend_spec(&backend, args, j)?;
     let m = j + 1;
     let obs = MetricsHandle::counters();
     let mut rows: Vec<(usize, usize, i64)> = Vec::new();
@@ -260,17 +233,7 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
         for seed in 0..seeds {
             let mut ex = Executor::new();
             ex.set_metrics(obs.clone());
-            if let Some(b) = select_backend(
-                &backend,
-                net_nodes,
-                seed,
-                batch_max,
-                shards,
-                gossip_interval,
-                gossip_unsafe,
-            )? {
-                ex.set_backend(b);
-            }
+            ex.set_backend(spec.build(seed, &[]));
             let pids: Vec<Pid> =
                 (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
             let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
@@ -447,6 +410,18 @@ fn cmd_extract(args: &Args) -> Result<(), String> {
         }
         None => Err("extraction did not stabilize within the budget".into()),
     }
+}
+
+/// One `faults list` row: name, size, budget, substrate and task.
+fn list_row(sc: &wfa::faults::scenario::Scenario) -> String {
+    format!(
+        "{:<16} n={} budget={} backend={} ({})",
+        sc.name,
+        sc.n,
+        sc.budget,
+        sc.backend,
+        sc.task.name()
+    )
 }
 
 fn cmd_faults(argv: &[String]) -> Result<(), String> {
@@ -648,20 +623,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
         Some("list") => {
             for name in Scenario::catalog() {
                 let sc = Scenario::by_name(name).expect("catalog names resolve");
-                let backend = if sc.net_gossip {
-                    format!("gossip({})", sc.net_nodes)
-                } else if sc.net_nodes > 0 {
-                    let order = if sc.net_fifo { "" } else { ",reorder" };
-                    format!("net({}{order})", sc.net_nodes)
-                } else {
-                    "shm".to_string()
-                };
-                println!(
-                    "{name:<16} n={} budget={} backend={backend} ({})",
-                    sc.n,
-                    sc.budget,
-                    sc.task.name()
-                );
+                println!("{}", list_row(&sc));
             }
             Ok(())
         }
@@ -738,12 +700,15 @@ fn obs_source(
                 .run(&ex);
             Ok((obs.snapshot().expect("metrics enabled"), Vec::new()))
         }
-        // The default `ksa` run over the ABD quorum-replicated backend:
-        // message/quorum counters, channel spans, and step events, all on
-        // a single deterministic schedule (thread-count invariant by
-        // construction — the CI net-determinism job diffs its exports).
-        "net" => {
+        // The default `ksa` run over the ABD quorum-replicated backend
+        // (`net`: message/quorum counters, channel spans) or the delta-CRDT
+        // gossip backend (`gossip`: round and delta counters, anti-entropy
+        // spans, zero messages on the op path), plus step events, all on a
+        // single deterministic schedule (thread-count invariant by
+        // construction — the CI determinism jobs diff their exports).
+        "net" | "gossip" => {
             let (n, k, stab) = (4usize, 2usize, 200u64);
+            let spec = if name == "net" { BackendSpec::net(n) } else { BackendSpec::gossip(n) };
             let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
             let fd = FdGen::vector_omega_k(pattern, k, stab, seed);
             let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
@@ -763,35 +728,7 @@ fn obs_source(
             let obs = MetricsHandle::with_events(4096);
             let mut run = EfdRun::new(c, s, fd)
                 .with_metrics(obs.clone())
-                .with_backend(Box::new(AbdBackend::new(NetConfig::new(n, seed ^ 0x7e7))));
-            let mut sched = run.fair_sched(seed ^ 0xc11);
-            run.run_until_decided(&mut sched, 5_000_000);
-            Ok((obs.snapshot().expect("metrics enabled"), obs.events()))
-        }
-        // The same ksa run over the delta-CRDT gossip backend: round and
-        // delta counters, anti-entropy spans, zero messages on the op path.
-        "gossip" => {
-            let (n, k, stab) = (4usize, 2usize, 200u64);
-            let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-            let fd = FdGen::vector_omega_k(pattern, k, stab, seed);
-            let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-            let c: Vec<Box<dyn DynProcess>> = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    Box::new(SetAgreementC::new(i, k as u32, v.clone())) as Box<dyn DynProcess>
-                })
-                .collect();
-            let s: Vec<Box<dyn DynProcess>> = (0..n)
-                .map(|q| {
-                    Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32))
-                        as Box<dyn DynProcess>
-                })
-                .collect();
-            let obs = MetricsHandle::with_events(4096);
-            let mut run = EfdRun::new(c, s, fd)
-                .with_metrics(obs.clone())
-                .with_backend(Box::new(GossipBackend::new(GossipConfig::new(n, seed ^ 0x7e7))));
+                .with_backend(spec.build(seed, &[]));
             let mut sched = run.fair_sched(seed ^ 0xc11);
             run.run_until_decided(&mut sched, 5_000_000);
             Ok((obs.snapshot().expect("metrics enabled"), obs.events()))
@@ -983,5 +920,34 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wfa::faults::scenario::Scenario;
+
+    #[test]
+    fn faults_list_names_every_substrate_setting() {
+        let rows: Vec<String> = Scenario::catalog()
+            .into_iter()
+            .map(|name| list_row(&Scenario::by_name(name).expect("catalog names resolve")))
+            .collect();
+        let expected = [
+            "adopt-commit     n=3 budget=30000 backend=shm (adopt-commit(3))",
+            "fragile-commit   n=3 budget=10000 backend=shm (adopt-commit(3))",
+            "ksa              n=3 budget=300000 backend=shm (2-set-agreement(m=3))",
+            "ksa-net          n=3 budget=300000 backend=net(3) (2-set-agreement(m=3))",
+            "ksa-net-batch    n=3 budget=300000 backend=net(3,batch=4) (2-set-agreement(m=3))",
+            "ksa-net-corrupt  n=3 budget=300000 backend=net(3,corrupt=5) (2-set-agreement(m=3))",
+            "ksa-net-gossip   n=3 budget=300000 backend=gossip(4) (2-set-agreement(m=3))",
+            "ksa-net-reorder  n=3 budget=300000 backend=net(3,reorder) (2-set-agreement(m=3))",
+            "ksa-net-shard    n=3 budget=300000 backend=net(3,shards=2) (2-set-agreement(m=3))",
+            "rename-net-gossip n=4 budget=400000 backend=gossip(3) ((3,5)-renaming(m=4))",
+            "renaming         n=4 budget=400000 backend=shm ((3,5)-renaming(m=4))",
+            "wait-for-all     n=3 budget=5000 backend=shm (adopt-commit(3))",
+        ];
+        assert_eq!(rows, expected);
     }
 }

@@ -26,7 +26,9 @@
 //! [`violation::Violation`] — JSON artifact in, exact re-execution out
 //! ([`run::replay`]) — after a greedy shrinking pass ([`shrink::shrink`]).
 //! Panics inside a run are caught per job and become violations themselves;
-//! a sweep never dies half way.
+//! a sweep never dies half way. Each scenario names its register substrate
+//! with a [`backend::BackendSpec`], the one builder the CLI and the bench
+//! drivers share, so an artifact's seed replays the same network.
 //!
 //! The [`chaos`] module is the long-horizon complement to the searched
 //! sweeps: deterministic 10k+ tick soaks against any backend under a
@@ -35,6 +37,7 @@
 //! per-fault-class MTTR aggregation of the degradation → resolution
 //! lifecycle ([`chaos::soak`]).
 
+pub mod backend;
 pub mod chaos;
 pub mod fdwrap;
 pub mod plan;
@@ -50,6 +53,7 @@ pub use wfa_obs::json;
 
 /// Everything a fault-sweep caller usually needs.
 pub mod prelude {
+    pub use crate::backend::BackendSpec;
     pub use crate::chaos::{
         replay_soak, shrink_soak, soak, Intensity, SoakBackend, SoakConfig, SoakReport,
     };

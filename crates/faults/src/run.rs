@@ -15,13 +15,9 @@ use rand::SeedableRng;
 
 use wfa_core::harness::{EfdRun, RunReport};
 use wfa_fd::pattern::FailurePattern;
-use wfa_gossip::backend::GossipBackend;
-use wfa_gossip::config::GossipConfig;
 use wfa_kernel::backend::DegradationKind;
 use wfa_kernel::sched::{Record, Replay, Starve};
 use wfa_kernel::value::Pid;
-use wfa_net::abd::{sharded_backend, AbdBackend};
-use wfa_net::config::{NetConfig, ShardMap};
 use wfa_obs::metrics::{HistKind, MetricsHandle};
 
 use crate::fdwrap::FaultyFdGen;
@@ -75,33 +71,10 @@ pub fn build_run(
     let inner = (sc.mk_fd)(pattern, sc.stab, seed);
     let (c_procs, s_procs) = (sc.factory)(&input, inner.clone());
     let fd = FaultyFdGen::new(inner, plan);
-    let mut run = EfdRun::new(c_procs, s_procs, fd);
-    if sc.net_nodes > 0 {
-        // The same seed derivation the CLI uses (`--backend net`), so a
-        // violation artifact replays the identical network.
-        let mut cfg = NetConfig::new(sc.net_nodes, seed ^ 0x7e7);
-        cfg.faults = plan.net_faults.clone();
-        cfg.fifo = sc.net_fifo;
-        cfg.batch_max = sc.net_batch;
-        cfg.corrupt_every = sc.net_corrupt;
-        if sc.net_gossip {
-            // Same network, different substrate: ops are replica-local and
-            // the plan's faults bite the anti-entropy exchanges instead of
-            // quorum rounds (batching/sharding knobs don't apply).
-            run = run.with_backend(Box::new(GossipBackend::new(GossipConfig {
-                net: cfg,
-                ..GossipConfig::new(sc.net_nodes, seed ^ 0x7e7)
-            })));
-        } else if sc.net_shards > 1 {
-            // One independent ABD cluster per replica group; keys route by
-            // `RegKey::shard_index` and faults replicate per group.
-            let map = ShardMap::new(sc.net_shards, sc.net_nodes);
-            run = run.with_backend(Box::new(sharded_backend(&cfg, &map)));
-        } else {
-            run = run.with_backend(Box::new(AbdBackend::new(cfg)));
-        }
-    }
-    (run, input)
+    // The scenario's substrate, seeded from the run seed exactly as the
+    // CLI seeds it, so a violation artifact replays the identical network.
+    let backend = sc.backend.build(seed, &plan.net_faults);
+    (EfdRun::new(c_procs, s_procs, fd).with_backend(backend), input)
 }
 
 /// Evaluates one plan: runs the faulted system under a seeded fair schedule
@@ -337,6 +310,7 @@ pub fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendSpec;
 
     #[test]
     fn clean_plans_pass_canonical_scenarios() {
@@ -414,7 +388,7 @@ mod tests {
             FaultPlan::clean().drop_link(1, 0, sc.stab),
             FaultPlan::clean().partition(vec![2], 0).heal(sc.stab),
         ] {
-            assert!(plan.net_majority_safe(sc.net_nodes), "{}", plan.describe());
+            assert!(plan.net_majority_safe(sc.backend.nodes()), "{}", plan.describe());
             let outcome = run_plan(&sc, &plan, 5);
             assert!(
                 outcome.violations.is_empty(),
@@ -443,7 +417,7 @@ mod tests {
         // but the quorum-loss observation itself is preserved).
         let plain = Scenario::ksa_net();
         let batched = Scenario::ksa_net_batch();
-        assert_eq!(batched.net_batch, 4);
+        assert!(matches!(&batched.backend, BackendSpec::Net { cfg, .. } if cfg.batch_max == 4));
         for plan in [
             FaultPlan::clean(),
             FaultPlan::clean().drop_link(1, 0, plain.stab),
@@ -481,7 +455,7 @@ mod tests {
         // linearized decisions are provably unaffected by corruption.
         let plain = Scenario::ksa_net();
         let corrupt = Scenario::ksa_net_corrupt();
-        assert_eq!(corrupt.net_corrupt, 5);
+        assert!(matches!(&corrupt.backend, BackendSpec::Net { cfg, .. } if cfg.corrupt_every == 5));
         for plan in [
             FaultPlan::clean(),
             FaultPlan::clean().corrupt_link(1, 0, plain.stab),
@@ -560,7 +534,10 @@ mod tests {
         let ViolationKind::QuorumLost { shard, .. } = &v.kind else {
             unreachable!();
         };
-        assert!(*shard < sc.net_shards, "shard tag {shard} out of range");
+        assert!(
+            matches!(sc.backend, BackendSpec::Net { shards, .. } if *shard < shards),
+            "shard tag {shard} out of range"
+        );
         let text = v.to_json().to_string();
         let parsed = Violation::from_json(&crate::json::Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, v);
@@ -576,7 +553,7 @@ mod tests {
         // artifact round-trips through JSON and replays.
         let sc = Scenario::ksa_net();
         let plan = FaultPlan::clean().partition(vec![0, 1], 0);
-        assert!(!plan.net_majority_safe(sc.net_nodes));
+        assert!(!plan.net_majority_safe(sc.backend.nodes()));
         let outcome = run_plan(&sc, &plan, 3);
         let v = outcome
             .violations
@@ -610,7 +587,7 @@ mod tests {
         // static credit in `net_majority_safe` predicts.
         let sc = Scenario::ksa_net();
         let plan = FaultPlan::clean().crash_replica(2, 10).recover_replica(2, 30);
-        assert!(plan.net_majority_safe(sc.net_nodes));
+        assert!(plan.net_majority_safe(sc.backend.nodes()));
         let outcome = run_plan(&sc, &plan, 5);
         assert!(
             outcome.violations.is_empty(),

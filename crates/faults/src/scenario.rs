@@ -48,11 +48,14 @@ use wfa_fd::pattern::FailurePattern;
 use wfa_kernel::memory::RegKey;
 use wfa_kernel::process::{DynProcess, Process, Status, StepCtx};
 use wfa_kernel::value::Value;
+use wfa_net::config::NetConfig;
 use wfa_objects::adopt_commit::{AcOutcome, AdoptCommit};
 use wfa_objects::driver::{Driver, Step};
 use wfa_tasks::agreement::SetAgreement;
 use wfa_tasks::renaming::Renaming;
 use wfa_tasks::task::{check_basics, Task, TaskViolation};
+
+use crate::backend::BackendSpec;
 
 /// Detector constructor: `(pattern, stabilization, seed) → FdGen`.
 pub type MkFd = Arc<dyn Fn(FailurePattern, u64, u64) -> FdGen + Send + Sync>;
@@ -71,38 +74,13 @@ pub struct Scenario {
     pub budget: u64,
     /// Detector stabilization time.
     pub stab: u64,
-    /// Replica count for the message-passing register backend; `0` runs on
-    /// plain shared memory. When positive, [`crate::run::build_run`] installs
-    /// an ABD backend seeded from the run seed and carrying the plan's
-    /// network faults.
-    pub net_nodes: usize,
-    /// Channel discipline for the net backend: `true` delivers per-channel
-    /// in send order, `false` lets messages overtake freely (ignored on
-    /// shared memory).
-    pub net_fifo: bool,
-    /// Op-batching factor for the net backend (`NetConfig::batch_max`); `1`
-    /// runs the classic one-round-per-op protocol (ignored on shared
-    /// memory). Batching never changes slots or decisions, so swept plans
-    /// produce the same violations — only the message economy differs.
-    pub net_batch: u64,
-    /// Periodic message-corruption knob for the net backend
-    /// (`NetConfig::corrupt_every`): every `net_corrupt`-th message arrives
-    /// with a damaged payload, is caught by the checksum layer and
-    /// quarantined. `0` disables it. Quarantine plus retransmission means
-    /// decisions are identical to the corruption-free run — only the
-    /// message economy differs.
-    pub net_corrupt: u64,
-    /// Replica-group count for the net backend: values above `1` shard the
-    /// register space over that many independent `net_nodes`-replica ABD
-    /// clusters (quorum loss in one group degrades only that group's key
-    /// range). `1` runs the single-cluster backend.
-    pub net_shards: usize,
-    /// Use the delta-CRDT gossip backend instead of the ABD quorum backend
-    /// (requires `net_nodes > 0`; `net_batch`/`net_shards` are ignored).
-    /// Gossip reads may be *stale* — loss and partitions change which value
-    /// an op observes, not just its cost — so sweeps over gossip scenarios
-    /// must not apply monotone-loss dominance pruning.
-    pub net_gossip: bool,
+    /// The register substrate, built by [`crate::run::build_run`] from the
+    /// run seed with the plan's network faults. Batching and corruption
+    /// change only an ABD run's message economy, never its slots or
+    /// decisions. Gossip reads may be *stale* — loss and partitions change
+    /// which value an op observes, not just its cost — so sweeps over
+    /// gossip scenarios do not apply monotone-loss dominance pruning.
+    pub backend: BackendSpec,
     /// The Δ to validate against.
     pub task: Arc<dyn Task>,
     /// Builds the (honest) detector for a failure pattern.
@@ -118,7 +96,7 @@ impl std::fmt::Debug for Scenario {
             .field("n", &self.n)
             .field("budget", &self.budget)
             .field("stab", &self.stab)
-            .field("net_nodes", &self.net_nodes)
+            .field("backend", &format_args!("{}", self.backend))
             .finish_non_exhaustive()
     }
 }
@@ -169,12 +147,7 @@ impl Scenario {
             n,
             budget: 30_000,
             stab: 50,
-            net_nodes: 0,
-            net_fifo: true,
-            net_batch: 1,
-            net_corrupt: 0,
-            net_shards: 1,
-            net_gossip: false,
+            backend: BackendSpec::Shm,
             task: Arc::new(AcTask { parties: n, distinct_inputs: false }),
             mk_fd: Arc::new(|p, _stab, _seed| FdGen::trivial(p)),
             factory: Arc::new(move |input: &[Value], _fd: FdGen| {
@@ -203,12 +176,7 @@ impl Scenario {
             n,
             budget: 10_000,
             stab: 50,
-            net_nodes: 0,
-            net_fifo: true,
-            net_batch: 1,
-            net_corrupt: 0,
-            net_shards: 1,
-            net_gossip: false,
+            backend: BackendSpec::Shm,
             task: Arc::new(AcTask { parties: n, distinct_inputs: true }),
             mk_fd: Arc::new(|p, _stab, _seed| FdGen::trivial(p)),
             factory: Arc::new(move |input: &[Value], _fd: FdGen| {
@@ -236,12 +204,7 @@ impl Scenario {
             n,
             budget: 300_000,
             stab: 100,
-            net_nodes: 0,
-            net_fifo: true,
-            net_batch: 1,
-            net_corrupt: 0,
-            net_shards: 1,
-            net_gossip: false,
+            backend: BackendSpec::Shm,
             task: Arc::new(SetAgreement::new(n, k as usize)),
             mk_fd: Arc::new(move |p, stab, seed| FdGen::vector_omega_k(p, k as usize, stab, seed)),
             factory: Arc::new(move |input: &[Value], _fd: FdGen| {
@@ -272,7 +235,7 @@ impl Scenario {
     pub fn ksa_net() -> Scenario {
         let mut sc = Scenario::ksa();
         sc.name = "ksa-net".into();
-        sc.net_nodes = 3;
+        sc.backend = BackendSpec::net(3);
         sc
     }
 
@@ -283,7 +246,8 @@ impl Scenario {
     pub fn ksa_net_reorder() -> Scenario {
         let mut sc = Scenario::ksa_net();
         sc.name = "ksa-net-reorder".into();
-        sc.net_fifo = false;
+        sc.backend =
+            BackendSpec::Net { cfg: NetConfig { fifo: false, ..NetConfig::new(3, 0) }, shards: 1 };
         sc
     }
 
@@ -295,7 +259,8 @@ impl Scenario {
     pub fn ksa_net_batch() -> Scenario {
         let mut sc = Scenario::ksa_net();
         sc.name = "ksa-net-batch".into();
-        sc.net_batch = 4;
+        sc.backend =
+            BackendSpec::Net { cfg: NetConfig { batch_max: 4, ..NetConfig::new(3, 0) }, shards: 1 };
         sc
     }
 
@@ -311,7 +276,10 @@ impl Scenario {
     pub fn ksa_net_corrupt() -> Scenario {
         let mut sc = Scenario::ksa_net();
         sc.name = "ksa-net-corrupt".into();
-        sc.net_corrupt = 5;
+        sc.backend = BackendSpec::Net {
+            cfg: NetConfig { corrupt_every: 5, ..NetConfig::new(3, 0) },
+            shards: 1,
+        };
         sc
     }
 
@@ -322,7 +290,7 @@ impl Scenario {
     pub fn ksa_net_shard() -> Scenario {
         let mut sc = Scenario::ksa_net();
         sc.name = "ksa-net-shard".into();
-        sc.net_shards = 2;
+        sc.backend = BackendSpec::Net { cfg: NetConfig::new(3, 0), shards: 2 };
         sc
     }
 
@@ -334,8 +302,7 @@ impl Scenario {
     pub fn ksa_net_gossip() -> Scenario {
         let mut sc = Scenario::ksa();
         sc.name = "ksa-net-gossip".into();
-        sc.net_nodes = 4;
-        sc.net_gossip = true;
+        sc.backend = BackendSpec::gossip(4);
         sc
     }
 
@@ -345,8 +312,7 @@ impl Scenario {
     pub fn rename_net_gossip() -> Scenario {
         let mut sc = Scenario::renaming();
         sc.name = "rename-net-gossip".into();
-        sc.net_nodes = 3;
-        sc.net_gossip = true;
+        sc.backend = BackendSpec::gossip(3);
         sc
     }
 
@@ -360,12 +326,7 @@ impl Scenario {
             n,
             budget: 5_000,
             stab: 50,
-            net_nodes: 0,
-            net_fifo: true,
-            net_batch: 1,
-            net_corrupt: 0,
-            net_shards: 1,
-            net_gossip: false,
+            backend: BackendSpec::Shm,
             task: Arc::new(AcTask { parties: n, distinct_inputs: true }),
             mk_fd: Arc::new(|p, _stab, _seed| FdGen::trivial(p)),
             factory: Arc::new(move |input: &[Value], _fd: FdGen| {
@@ -393,12 +354,7 @@ impl Scenario {
             n: m,
             budget: 400_000,
             stab: 50,
-            net_nodes: 0,
-            net_fifo: true,
-            net_batch: 1,
-            net_corrupt: 0,
-            net_shards: 1,
-            net_gossip: false,
+            backend: BackendSpec::Shm,
             task: Arc::new(Renaming::new(m, j, 2 * j - 1)),
             mk_fd: Arc::new(|p, _stab, _seed| FdGen::trivial(p)),
             factory: Arc::new(move |input: &[Value], _fd: FdGen| {

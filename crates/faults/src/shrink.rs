@@ -9,22 +9,18 @@
 //! deterministic replay, so a shrunk artifact is *still a real run*, never
 //! an approximation.
 //!
-//! Wait-freedom violations shrink their *plan* instead: any truncated
-//! schedule trivially "starves" every process, so schedule shrinking is
-//! vacuous there. Dropping plan components one at a time and re-running
-//! keeps only the faults the starvation actually depends on.
+//! Every other kind shrinks its *plan* with one greedy loop: drop one plan
+//! component, re-run, and keep the drop if the run still shows the
+//! violation. What "still shows" means is the kind's predicate:
 //!
-//! Quorum-loss violations (the net backend's typed degradation) likewise
-//! shrink their plan: each candidate re-runs and is kept only if it still
-//! degrades some quorum op; the recorded `(op, tick)` and schedule are
-//! refreshed from the final minimal plan so the artifact replays against
-//! what it stores.
-//!
-//! Panic violations (a torn automaton, or the net backend under its legacy
-//! `quorum unreachable` shim) also shrink their plan: each candidate
-//! re-runs under `catch_unwind` and is kept only if it still panics — the
-//! same criterion [`crate::run::replay`] certifies, so a shrunk panic
-//! artifact still reproduces.
+//! * wait-freedom — the same process still starves under a plan that
+//!   restores advice (any truncated schedule starves trivially, so the
+//!   schedule cannot be shrunk); the schedule is re-recorded;
+//! * quorum loss / stale advice — the run still raises that degradation;
+//!   its `(op, tick)` and schedule are refreshed from the final plan so the
+//!   artifact replays against what it stores;
+//! * panic — the run still panics under `catch_unwind`, the same criterion
+//!   [`crate::run::replay`] certifies; the payload is re-recorded.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -46,7 +42,7 @@ pub fn shrink(v: &mut Violation) -> usize {
     };
     match v.kind.clone() {
         ViolationKind::Safety { reason } => shrink_schedule(&sc, v, &reason),
-        ViolationKind::WaitFreedom { process, .. } => shrink_plan(&sc, v, process),
+        ViolationKind::WaitFreedom { process, .. } => shrink_starvation(&sc, v, process),
         ViolationKind::Panic { .. } => shrink_panic(&sc, v),
         ViolationKind::QuorumLost { .. } => shrink_degradation(&sc, v, false),
         ViolationKind::AdviceStale { .. } => shrink_degradation(&sc, v, true),
@@ -102,183 +98,128 @@ fn shrink_schedule(sc: &Scenario, v: &mut Violation, reason: &str) -> usize {
     replays
 }
 
-/// Drops plan components one at a time, keeping each drop that still
-/// starves `process`.
-fn shrink_plan(sc: &Scenario, v: &mut Violation, process: usize) -> usize {
+/// Every plan one component smaller than `plan`, in the order the shrinker
+/// tries them: network faults, crashes, stops, then detector faults.
+fn single_drops(plan: &FaultPlan) -> Vec<FaultPlan> {
+    let mut drops = Vec::new();
+    macro_rules! drop_each {
+        ($($field:ident),*) => {$(
+            for idx in 0..plan.$field.len() {
+                let mut candidate = plan.clone();
+                candidate.$field.remove(idx);
+                drops.push(candidate);
+            }
+        )*};
+    }
+    drop_each!(net_faults, crashes, stops, fd_faults);
+    drops
+}
+
+/// The greedy plan shrinker: keeps the first single-component drop after
+/// which `still` re-observes the violation, and restarts from the smaller
+/// plan until no drop keeps it or the replay budget is spent. Each call of
+/// `still` is one replay. Returns the replays spent and what `still`
+/// reported for the final plan (`None` if nothing could be dropped).
+fn shrink_plan<T>(
+    plan: &mut FaultPlan,
+    mut still: impl FnMut(&FaultPlan) -> Option<T>,
+) -> (usize, Option<T>) {
     let mut replays = 0;
-    let seed = v.seed;
-    // Dropping a component can flip the run into a *panic* (e.g. removing
-    // the heal that kept a partition majority-safe): that candidate is a
-    // different violation, not a smaller starvation — reject it.
-    let still_starves = |plan: &FaultPlan, replays: &mut usize| {
-        *replays += 1;
-        catch_unwind(AssertUnwindSafe(|| run_plan(sc, plan, seed))).is_ok_and(|outcome| {
-            outcome.violations.iter().any(|w| {
-                matches!(&w.kind, ViolationKind::WaitFreedom { process: p, .. } if *p == process)
-            })
-        })
-    };
+    let mut last = None;
     loop {
-        let mut improved = false;
-        for idx in 0..v.plan.crashes.len() {
-            let mut candidate = v.plan.clone();
-            candidate.crashes.remove(idx);
-            if still_starves(&candidate, &mut replays) {
-                v.plan = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        for idx in 0..v.plan.stops.len() {
-            let mut candidate = v.plan.clone();
-            candidate.stops.remove(idx);
-            if still_starves(&candidate, &mut replays) {
-                v.plan = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        for idx in 0..v.plan.fd_faults.len() {
-            let mut candidate = v.plan.clone();
-            candidate.fd_faults.remove(idx);
-            if candidate.preserves_liveness() && still_starves(&candidate, &mut replays) {
-                v.plan = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        for idx in 0..v.plan.net_faults.len() {
-            let mut candidate = v.plan.clone();
-            candidate.net_faults.remove(idx);
-            if still_starves(&candidate, &mut replays) {
-                v.plan = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if !improved || replays >= MAX_REPLAYS {
-            // Re-record the (possibly changed) violating schedule for the
-            // final plan so the artifact replays against what it stores.
-            let outcome = run_plan(sc, &v.plan, v.seed);
-            v.schedule = outcome.schedule.iter().map(|p| p.0).collect();
-            return replays;
+        let hit = single_drops(plan).into_iter().find_map(|candidate| {
+            replays += 1;
+            still(&candidate).map(|w| (candidate, w))
+        });
+        let Some((smaller, w)) = hit else {
+            return (replays, last);
+        };
+        *plan = smaller;
+        last = Some(w);
+        if replays >= MAX_REPLAYS {
+            return (replays, last);
         }
     }
 }
 
-/// Drops plan components one at a time, keeping each drop after which the
-/// run still panics (the [`crate::run::replay`] criterion for panic
-/// artifacts). The payload is re-recorded from the final minimal plan so the
-/// artifact documents the panic it actually replays.
-fn shrink_panic(sc: &Scenario, v: &mut Violation) -> usize {
-    let mut replays = 0;
+/// Shrinks a wait-freedom violation's plan, keeping each drop that still
+/// starves `process` and re-recording the schedule from the final plan.
+fn shrink_starvation(sc: &Scenario, v: &mut Violation, process: usize) -> usize {
     let seed = v.seed;
-    let still_panics = |plan: &FaultPlan, replays: &mut usize| -> Option<String> {
-        *replays += 1;
-        catch_unwind(AssertUnwindSafe(|| run_plan(sc, plan, seed)))
-            .err()
-            .map(|payload| payload_string(payload.as_ref()))
-    };
-    let mut payload_now = match &v.kind {
-        ViolationKind::Panic { payload } => payload.clone(),
-        _ => unreachable!("shrink_panic only sees panic violations"),
-    };
-    loop {
-        let mut improved = false;
-        macro_rules! try_drop {
-            ($field:ident) => {
-                if !improved {
-                    for idx in 0..v.plan.$field.len() {
-                        let mut candidate = v.plan.clone();
-                        candidate.$field.remove(idx);
-                        if let Some(p) = still_panics(&candidate, &mut replays) {
-                            v.plan = candidate;
-                            payload_now = p;
-                            improved = true;
-                            break;
-                        }
-                    }
-                }
-            };
+    let (replays, schedule) = shrink_plan(&mut v.plan, |plan| {
+        // Only plans that restore advice can certify starvation. A drop that
+        // flips the run into a *panic* (e.g. removing the heal that kept a
+        // partition majority-safe) is a different violation, not a smaller
+        // starvation.
+        if !plan.preserves_liveness() {
+            return None;
         }
-        try_drop!(net_faults);
-        try_drop!(crashes);
-        try_drop!(stops);
-        try_drop!(fd_faults);
-        if !improved || replays >= MAX_REPLAYS {
-            v.kind = ViolationKind::Panic { payload: payload_now };
-            return replays;
-        }
-    }
-}
-
-/// Drops plan components one at a time, keeping each drop after which the
-/// run still degrades — a stranded quorum op (`stale = false`) or a
-/// stale-advice report (`stale = true`). The recorded kind and schedule are
-/// refreshed from the final minimal plan (dropping an unrelated fault can
-/// shift the tick the horizon expires at).
-fn shrink_degradation(sc: &Scenario, v: &mut Violation, stale: bool) -> usize {
-    let mut replays = 0;
-    let seed = v.seed;
-    let first_loss = |plan: &FaultPlan, replays: &mut usize| -> Option<(ViolationKind, Vec<usize>)> {
-        *replays += 1;
-        let outcome = run_plan(sc, plan, seed);
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_plan(sc, plan, seed))).ok()?;
         outcome
             .violations
             .iter()
-            .find(|w| match w.kind {
-                ViolationKind::QuorumLost { .. } => !stale,
-                ViolationKind::AdviceStale { .. } => stale,
-                _ => false,
+            .any(|w| {
+                matches!(&w.kind, ViolationKind::WaitFreedom { process: p, .. } if *p == process)
             })
-            .map(|w| (w.kind.clone(), outcome.schedule.iter().map(|p| p.0).collect()))
-    };
-    let mut recorded: Option<(ViolationKind, Vec<usize>)> = None;
-    loop {
-        let mut improved = false;
-        macro_rules! try_drop {
-            ($field:ident) => {
-                if !improved {
-                    for idx in 0..v.plan.$field.len() {
-                        let mut candidate = v.plan.clone();
-                        candidate.$field.remove(idx);
-                        if let Some(hit) = first_loss(&candidate, &mut replays) {
-                            v.plan = candidate;
-                            recorded = Some(hit);
-                            improved = true;
-                            break;
-                        }
-                    }
-                }
-            };
-        }
-        try_drop!(net_faults);
-        try_drop!(crashes);
-        try_drop!(stops);
-        try_drop!(fd_faults);
-        if !improved || replays >= MAX_REPLAYS {
-            if let Some((kind, schedule)) = recorded {
-                v.kind = kind;
-                v.schedule = schedule;
-            }
-            return replays;
-        }
+            .then_some(outcome.schedule)
+    });
+    if let Some(schedule) = schedule {
+        v.schedule = schedule.iter().map(|p| p.0).collect();
     }
+    replays
+}
+
+/// Shrinks a panic violation's plan, keeping each drop after which the run
+/// still panics (the [`crate::run::replay`] criterion for panic artifacts).
+/// The payload is re-recorded from the final plan so the artifact documents
+/// the panic it actually replays.
+fn shrink_panic(sc: &Scenario, v: &mut Violation) -> usize {
+    let seed = v.seed;
+    let (replays, payload) = shrink_plan(&mut v.plan, |plan| {
+        catch_unwind(AssertUnwindSafe(|| run_plan(sc, plan, seed)))
+            .err()
+            .map(|payload| payload_string(payload.as_ref()))
+    });
+    if let Some(payload) = payload {
+        v.kind = ViolationKind::Panic { payload };
+    }
+    replays
+}
+
+/// Shrinks a degradation's plan, keeping each drop after which the run
+/// still degrades — a stranded quorum op (`stale = false`) or a
+/// stale-advice report (`stale = true`). The recorded kind and schedule are
+/// refreshed from the final plan (dropping an unrelated fault can shift the
+/// tick the horizon expires at).
+fn shrink_degradation(sc: &Scenario, v: &mut Violation, stale: bool) -> usize {
+    let seed = v.seed;
+    let (replays, hit) = shrink_plan(&mut v.plan, |plan| {
+        let outcome = run_plan(sc, plan, seed);
+        let kind = outcome.violations.into_iter().map(|w| w.kind).find(|k| match k {
+            ViolationKind::QuorumLost { .. } => !stale,
+            ViolationKind::AdviceStale { .. } => stale,
+            _ => false,
+        })?;
+        Some((kind, outcome.schedule))
+    });
+    if let Some((kind, schedule)) = hit {
+        v.kind = kind;
+        v.schedule = schedule.iter().map(|p| p.0).collect();
+    }
+    replays
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use wfa_kernel::memory::RegKey;
+    use wfa_kernel::process::{DynProcess, Process, Status, StepCtx};
+    use wfa_kernel::value::Value;
+
     use super::*;
     use crate::run::replay;
+    use crate::scenario::AdviceIdle;
 
     fn first_fragile_violation() -> Violation {
         let sc = Scenario::fragile_commit();
@@ -353,6 +294,66 @@ mod tests {
         );
         let verdict = replay(&v).unwrap();
         assert!(verdict.reproduced, "{}", verdict.detail);
+    }
+
+    /// A party that publishes, then panics once it has found party 0's slot
+    /// empty 50 times: only plans that starve party 0 panic.
+    #[derive(Clone, Hash, Debug)]
+    struct Impatient {
+        me: usize,
+        wrote: bool,
+        polls: u32,
+    }
+
+    impl Process for Impatient {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+            let slot = |p: usize| RegKey::idx(14, 0, p as u32, 0, 0);
+            if !self.wrote {
+                self.wrote = true;
+                ctx.write(slot(self.me), Value::Int(self.me as i64));
+                return Status::Running;
+            }
+            if self.me == 0 || !ctx.read(slot(0)).is_unit() {
+                return Status::Decided(Value::tuple([Value::Bool(true), Value::Int(0)]));
+            }
+            self.polls += 1;
+            assert!(self.polls < 50, "party {} gave up waiting for party 0", self.me);
+            Status::Running
+        }
+    }
+
+    #[test]
+    fn panic_shrink_keeps_only_the_fault_the_panic_needs() {
+        let mut sc = Scenario::wait_for_all();
+        sc.name = "impatient".into();
+        sc.factory = Arc::new(|input: &[Value], _fd| {
+            let party = |me| Box::new(Impatient { me, wrote: false, polls: 0 }) as Box<dyn DynProcess>;
+            let idle = |_| Box::new(AdviceIdle) as Box<dyn DynProcess>;
+            ((0..input.len()).map(party).collect(), (0..input.len()).map(idle).collect())
+        });
+        let panics = |plan: &FaultPlan| {
+            let run = catch_unwind(AssertUnwindSafe(|| run_plan(&sc, plan, 7)));
+            run.err().map(|p| payload_string(p.as_ref()))
+        };
+        assert!(panics(&FaultPlan::clean()).is_none(), "a fair run lets party 0 publish");
+        let plan = FaultPlan::clean().crash_s(2, 5).stop_c(0, 0).lose(1, 2);
+        let payload = panics(&plan).expect("starving party 0 must panic the others");
+        let mut v = Violation {
+            scenario: sc.name.clone(),
+            seed: 7,
+            plan,
+            kind: ViolationKind::Panic { payload },
+            schedule: Vec::new(),
+            original_len: 0,
+        };
+        let replays = shrink_panic(&sc, &mut v);
+        assert!(replays > 0);
+        assert_eq!(v.plan, FaultPlan::clean().stop_c(0, 0), "{}", v.plan.describe());
+        let ViolationKind::Panic { payload } = &v.kind else {
+            panic!("shrink changed the kind: {}", v.kind);
+        };
+        assert!(payload.contains("gave up waiting for party 0"), "{payload}");
+        assert!(panics(&v.plan).is_some(), "the shrunk plan must still panic");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::sync::Mutex;
 
 use wfa_obs::metrics::{Counter, MetricsHandle, Snapshot};
 
+use crate::backend::BackendSpec;
 use crate::json::Json;
 use crate::plan::FaultPlan;
 use crate::run::{payload_string, run_plan_observed};
@@ -64,7 +65,7 @@ impl Component {
     /// [`Component::NetHeal`]) and process/FD faults (which change the run
     /// itself) are excluded: a plan differing by one of those is never
     /// used to prune. Scenarios on the gossip backend never prune at all
-    /// (`Scenario::net_gossip`): there, loss starves anti-entropy and
+    /// (`BackendSpec::Gossip`): there, loss starves anti-entropy and
     /// changes the *value* a read observes, so the monotone argument fails.
     fn is_monotone_loss(&self) -> bool {
         matches!(
@@ -113,7 +114,8 @@ impl PlanSearch {
         }
         components.push(Component::Delay(sc.stab));
         components.push(Component::Clear(2 * sc.stab));
-        if sc.net_nodes > 0 {
+        let net_nodes = sc.backend.nodes();
+        if net_nodes > 0 {
             // Single-replica partitions, bounded drop windows and
             // crash/recover pairs inside the recovery horizon: the
             // adversary stays inside (or creditably returns to) the ABD
@@ -121,19 +123,19 @@ impl PlanSearch {
             // rather than exceed its model (majority-breaking plans are
             // built by hand, not swept — the all-crash exclusion's
             // analogue).
-            let rh = wfa_net::config::NetConfig::new(sc.net_nodes, 0).recovery_horizon();
-            for node in 0..sc.net_nodes {
+            let rh = wfa_net::config::NetConfig::new(net_nodes, 0).recovery_horizon();
+            for node in 0..net_nodes {
                 components.push(Component::NetPartition(node, sc.stab));
                 components.push(Component::NetDrop(node, 0, sc.stab));
                 components.push(Component::NetCorrupt(node, 0, sc.stab));
                 components.push(Component::NetCrashRecover(node, sc.stab, sc.stab + rh));
             }
             components.push(Component::NetHeal(2 * sc.stab));
-            if sc.net_nodes >= 3 {
+            if net_nodes >= 3 {
                 components.push(Component::NetBlip(2 * sc.stab, 2 * sc.stab + rh));
             }
         }
-        PlanSearch { components, depth, n: sc.n, net_nodes: sc.net_nodes }
+        PlanSearch { components, depth, n: sc.n, net_nodes }
     }
 
     /// Every valid plan with at most `depth` components (clean plan first).
@@ -434,7 +436,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
     // just what an op costs — the clean-superset argument is unsound there,
     // so dominance pruning is disabled (the mask is empty, so no plan ever
     // has pure-loss extras).
-    let monotone: u128 = if sc.net_gossip {
+    let monotone: u128 = if matches!(sc.backend, BackendSpec::Gossip(_)) {
         0
     } else {
         search
@@ -647,7 +649,7 @@ mod tests {
             .iter()
             .any(|p| p.net_faults.iter().any(|f| matches!(f, NetFault::RecoverReplica { .. }))));
         for p in &plans {
-            assert!(p.net_majority_safe(sc.net_nodes), "model-exceeding plan: {}", p.describe());
+            assert!(p.net_majority_safe(sc.backend.nodes()), "model-exceeding plan: {}", p.describe());
             // Every swept crash carries its recovery — the menu only offers
             // creditable pairs.
             for f in &p.net_faults {

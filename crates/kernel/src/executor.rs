@@ -11,6 +11,11 @@
 //! [`crate::sched`], failure detectors in `wfa-fd`, the EFD harness in
 //! `wfa-core`).
 //!
+//! Register operations go through one seam: the executor owns a
+//! `Box<dyn MemoryBackend>` that is the in-process [`SharedMemory`] (the
+//! base model) unless [`Executor::set_backend`] installs another
+//! linearizable substrate (see [`crate::backend`]).
+//!
 //! The executor is `Clone`, and the complete run state is hashable via
 //! [`Executor::fingerprint`] — the two properties the bounded model checker
 //! needs to explore interleavings.
@@ -90,11 +95,9 @@ fn slot_fp(index: usize, status: &Status, proc: &dyn DynProcess) -> u64 {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Executor {
-    mem: SharedMemory,
-    /// When set, register operations route through this backend instead of
-    /// `mem` (see [`crate::backend`]); `None` is the base shared-memory
-    /// model and pays nothing.
-    backend: Option<Box<dyn MemoryBackend>>,
+    /// The register file every step's operations route through; defaults
+    /// to an empty [`SharedMemory`].
+    backend: Box<dyn MemoryBackend>,
     slots: Vec<Slot>,
     /// XOR of the cached per-slot fingerprints — the incremental "process
     /// side" of [`Executor::fingerprint`].
@@ -147,30 +150,22 @@ impl Executor {
     }
 
     /// The shared register contents (for verifiers; processes go through
-    /// [`StepCtx`]). With a backend installed this is the backend's
-    /// linearized view, so verifiers work unchanged across substrates.
+    /// [`StepCtx`]): the backend's linearized view, so verifiers work
+    /// unchanged across substrates.
     pub fn memory(&self) -> &SharedMemory {
-        match &self.backend {
-            Some(b) => b.view(),
-            None => &self.mem,
-        }
+        self.backend.view()
     }
 
-    /// Installs a register backend; all subsequent steps route their memory
-    /// operations through it. The executor's own `SharedMemory` is left
-    /// untouched (and empty, unless steps ran before the install).
+    /// Replaces the register file; all subsequent steps route their memory
+    /// operations through `backend`. Install it before the first step:
+    /// whatever the previous register file held is dropped.
     pub fn set_backend(&mut self, backend: Box<dyn MemoryBackend>) {
-        self.backend = Some(backend);
-    }
-
-    /// The installed register backend, if any.
-    pub fn backend(&self) -> Option<&dyn MemoryBackend> {
-        self.backend.as_deref()
+        self.backend = backend;
     }
 
     /// Structured degradations the backend raised during this run, in step
-    /// order (empty for backends that never degrade, and always empty for
-    /// the `None` shared-memory path).
+    /// order (empty for backends that never degrade, shared memory among
+    /// them).
     pub fn degradations(&self) -> &[Degradation] {
         &self.degradations
     }
@@ -229,10 +224,7 @@ impl Executor {
                 slot.proc = slot.proc.clone_arc();
             }
             let proc = Arc::get_mut(&mut slot.proc).expect("uniquely owned after copy-on-write");
-            let mut ctx = match &mut self.backend {
-                Some(b) => StepCtx::with_backend(b.as_mut(), fd, now, pid, 1),
-                None => StepCtx::new(&mut self.mem, fd, now, pid, 1),
-            };
+            let mut ctx = StepCtx::new(self.backend.as_mut(), fd, now, pid, 1);
             slot.status = if obs.is_enabled() {
                 // Install the recording context so automata (which cannot
                 // hold a handle — they must stay `Clone + Hash`) can record
@@ -268,15 +260,13 @@ impl Executor {
                     kind: EventKind::Step { op, decided },
                 });
             }
-            if let Some(b) = &mut self.backend {
-                let mut raised = b.drain_degradations();
-                if !raised.is_empty() {
-                    self.degradations.append(&mut raised);
-                }
-                let mut resolved = b.drain_resolutions();
-                if !resolved.is_empty() {
-                    self.resolutions.append(&mut resolved);
-                }
+            let mut raised = self.backend.drain_degradations();
+            if !raised.is_empty() {
+                self.degradations.append(&mut raised);
+            }
+            let mut resolved = self.backend.drain_resolutions();
+            if !resolved.is_empty() {
+                self.resolutions.append(&mut resolved);
             }
         } else {
             obs.bump(Counter::NullSteps);
@@ -338,10 +328,7 @@ impl Executor {
     /// rehashing the full run state per visited node.
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        match &self.backend {
-            Some(b) => b.fingerprint(&mut h),
-            None => self.mem.fingerprint(&mut h),
-        }
+        self.backend.fingerprint(&mut h);
         self.procs_fp.hash(&mut h);
         h.finish()
     }

@@ -15,7 +15,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::backend::MemoryBackend;
-use crate::memory::{RegKey, SharedMemory};
+use crate::memory::RegKey;
 use crate::trace::OpKind;
 use crate::value::{Pid, Value};
 
@@ -59,7 +59,7 @@ impl Status {
 /// step — that is a bug in the stepping algorithm, not a recoverable
 /// condition.
 pub struct StepCtx<'a> {
-    mem: MemRef<'a>,
+    mem: &'a mut dyn MemoryBackend,
     fd: Option<&'a Value>,
     now: u64,
     me: Pid,
@@ -67,23 +67,10 @@ pub struct StepCtx<'a> {
     last_op: OpKind,
 }
 
-/// Where a step's memory operations land: the executor's in-process register
-/// file (the default base model) or a pluggable [`MemoryBackend`].
-enum MemRef<'a> {
-    Shm(&'a mut SharedMemory),
-    Backend(&'a mut dyn MemoryBackend),
-}
-
 impl std::fmt::Debug for StepCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StepCtx")
-            .field(
-                "mem",
-                &match self.mem {
-                    MemRef::Shm(_) => "shm".to_string(),
-                    MemRef::Backend(ref b) => b.label(),
-                },
-            )
+            .field("mem", &self.mem.label())
             .field("fd", &self.fd)
             .field("now", &self.now)
             .field("me", &self.me)
@@ -95,36 +82,16 @@ impl std::fmt::Debug for StepCtx<'_> {
 
 impl<'a> StepCtx<'a> {
     /// Builds a step context granting `ops` memory operations (the model uses
-    /// 1; harnesses may grant more for instrumentation processes).
-    pub fn new(mem: &'a mut SharedMemory, fd: Option<&'a Value>, now: u64, me: Pid, ops: u8) -> Self {
-        StepCtx { mem: MemRef::Shm(mem), fd, now, me, ops_left: ops, last_op: OpKind::None }
-    }
-
-    /// Like [`StepCtx::new`], but routing operations through `backend`.
-    pub fn with_backend(
-        backend: &'a mut dyn MemoryBackend,
+    /// 1; harnesses may grant more for instrumentation processes) over the
+    /// register substrate `mem` — a plain `&mut SharedMemory` coerces.
+    pub fn new(
+        mem: &'a mut dyn MemoryBackend,
         fd: Option<&'a Value>,
         now: u64,
         me: Pid,
         ops: u8,
     ) -> Self {
-        StepCtx { mem: MemRef::Backend(backend), fd, now, me, ops_left: ops, last_op: OpKind::None }
-    }
-
-    fn mem_read(&mut self, key: RegKey) -> Value {
-        let (now, me) = (self.now, self.me);
-        match &mut self.mem {
-            MemRef::Shm(mem) => mem.read(key),
-            MemRef::Backend(b) => b.read(me, now, key),
-        }
-    }
-
-    fn mem_write(&mut self, key: RegKey, val: Value) {
-        let (now, me) = (self.now, self.me);
-        match &mut self.mem {
-            MemRef::Shm(mem) => mem.write(key, val),
-            MemRef::Backend(b) => b.write(me, now, key, val),
-        }
+        StepCtx { mem, fd, now, me, ops_left: ops, last_op: OpKind::None }
     }
 
     fn take_op(&mut self, what: &str) {
@@ -140,7 +107,7 @@ impl<'a> StepCtx<'a> {
     pub fn read(&mut self, key: RegKey) -> Value {
         self.take_op("read");
         self.last_op = OpKind::Read(key);
-        self.mem_read(key)
+        self.mem.read(self.me, self.now, key)
     }
 
     /// Atomically writes `val` to register `key` (consumes this step's
@@ -148,7 +115,7 @@ impl<'a> StepCtx<'a> {
     pub fn write(&mut self, key: RegKey, val: Value) {
         self.take_op("write");
         self.last_op = OpKind::Write(key);
-        self.mem_write(key, val);
+        self.mem.write(self.me, self.now, key, val);
     }
 
     /// Atomically reads a set of registers (consumes this step's operation).
@@ -163,7 +130,7 @@ impl<'a> StepCtx<'a> {
     pub fn snapshot(&mut self, keys: &[RegKey]) -> Vec<Value> {
         self.take_op("snapshot");
         self.last_op = OpKind::Snapshot(keys.len() as u16);
-        keys.iter().map(|k| self.mem_read(*k)).collect()
+        keys.iter().map(|k| self.mem.read(self.me, self.now, *k)).collect()
     }
 
     /// `true` iff this step's memory operation is still available.
@@ -295,6 +262,7 @@ impl std::fmt::Debug for Box<dyn DynProcess> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::SharedMemory;
     use std::collections::hash_map::DefaultHasher;
 
     #[derive(Clone, Hash)]

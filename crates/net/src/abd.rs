@@ -47,8 +47,7 @@
 //! round (no retransmission schedule — keeping degraded runs cheap); the
 //! first probe that finds a quorum ends the spell, and subsequent reads
 //! lazily repair replica state that trails the view (write-back under a
-//! fresh tag). The legacy `net: quorum unreachable` panic survives behind
-//! [`NetConfig::legacy_panic`] for the panic-isolation path.
+//! fresh tag).
 //!
 //! **Op batching** ([`NetConfig::batch_max`] > 1). The EFD algorithms hammer
 //! a small register set in tight same-process loops, so adjacent ops by one
@@ -371,10 +370,8 @@ impl AbdBackend {
     ///
     /// When the retransmission horizon expires without a quorum the phase
     /// records a typed [`Degradation`] (kernel time `time`), enters the
-    /// degraded spell, and returns `Err` — unless
-    /// [`NetConfig::legacy_panic`] requests the historical structured
-    /// panic. While degraded, phases probe with a single round; the first
-    /// quorum found ends the spell.
+    /// degraded spell, and returns `Err`. While degraded, phases probe with
+    /// a single round; the first quorum found ends the spell.
     fn phase(&mut self, op: &str, key: RegKey, me: Pid, time: u64) -> Result<(Vec<usize>, Vec<usize>, u64), ()> {
         let need = self.net.config().quorum();
         let start = self.net.now();
@@ -423,18 +420,6 @@ impl AbdBackend {
         }
         let horizon = policy.exhaustion_horizon(start);
         self.net.advance_to(horizon);
-        if self.net.config().legacy_panic {
-            panic!(
-                "net: quorum unreachable: op={op} key=[{}:{},{}] pid={} tick={} answered={answered} needed={} nodes={}",
-                key.ns,
-                key.ix[0],
-                key.ix[1],
-                me.0,
-                horizon,
-                need,
-                self.net.config().nodes,
-            );
-        }
         obs_local::bump(Counter::NetQuorumLost);
         self.pending.push(Degradation {
             kind: DegradationKind::QuorumLost,
@@ -800,16 +785,6 @@ mod tests {
         assert!(abd.drain_degradations().is_empty(), "drain empties the stream");
         // Degraded reads serve the view.
         assert_eq!(abd.read(Pid(1), 6, RegKey::new(0)), Value::Int(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "net: quorum unreachable")]
-    fn legacy_panic_shim_keeps_the_structured_report() {
-        let mut cfg = NetConfig::new(3, 7)
-            .with_fault(NetFault::Partition { at: 0, nodes: vec![0, 1] });
-        cfg.legacy_panic = true;
-        let mut abd = AbdBackend::new(cfg);
-        abd.write(Pid(0), 0, RegKey::new(0), Value::Int(1));
     }
 
     #[test]

@@ -288,10 +288,6 @@ pub struct NetConfig {
     /// write-back is provably redundant). Off by default so the message
     /// counts pinned by E14 stay put.
     pub read_optimized: bool,
-    /// Legacy isolation shim: panic with the PR-4 structured
-    /// `net: quorum unreachable` report on quorum loss instead of raising a
-    /// typed `QuorumLost` degradation. Kept for the panic-isolation path.
-    pub legacy_panic: bool,
     /// Maximum register ops coalesced into one batched quorum round
     /// (`1`, the default, disables batching: the classic one-round-per-op
     /// ABD protocol whose message counts E14 pins byte-for-byte).
@@ -319,7 +315,6 @@ impl NetConfig {
             max_rounds: 3,
             durability: Durability::Volatile,
             read_optimized: false,
-            legacy_panic: false,
             batch_max: 1,
             shard: 0,
             faults: Vec::new(),
@@ -494,7 +489,6 @@ impl NetConfig {
                 }),
             ),
             ("read_optimized".into(), Json::Bool(self.read_optimized)),
-            ("legacy_panic".into(), Json::Bool(self.legacy_panic)),
             ("batch_max".into(), Json::Num(self.batch_max)),
             ("shard".into(), Json::Num(self.shard as u64)),
             ("faults".into(), Json::Arr(self.faults.iter().map(NetFault::to_json).collect())),
@@ -533,7 +527,6 @@ impl NetConfig {
                 _ => Durability::Volatile,
             },
             read_optimized: json.get("read_optimized").and_then(Json::bool).unwrap_or(false),
-            legacy_panic: json.get("legacy_panic").and_then(Json::bool).unwrap_or(false),
             // PR-5 artifacts predate batching/sharding; default them to the
             // classic one-round-per-op unsharded protocol.
             batch_max: json.get("batch_max").and_then(Json::num).unwrap_or(1).max(1),
@@ -697,7 +690,18 @@ mod tests {
         let cfg = NetConfig::from_json(&Json::parse(legacy).unwrap()).unwrap();
         assert_eq!(cfg.durability, Durability::Volatile);
         assert!(!cfg.read_optimized);
-        assert!(!cfg.legacy_panic);
+    }
+
+    #[test]
+    fn configs_carrying_the_retired_legacy_panic_key_still_parse() {
+        // Artifacts written while the quorum-loss panic shim existed carry a
+        // `legacy_panic` key; it is ignored, and quorum loss degrades.
+        let old = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
+                      "drop_every":0,"dup_every":0,"max_rounds":3,"legacy_panic":true,
+                      "batch_max":1,"shard":0,"faults":[]}"#;
+        let cfg = NetConfig::from_json(&Json::parse(old).unwrap()).unwrap();
+        assert_eq!(cfg, NetConfig::new(3, 7));
+        assert!(!cfg.to_json().to_string().contains("legacy_panic"));
     }
 
     #[test]

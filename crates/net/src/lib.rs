@@ -35,8 +35,7 @@
 //! operations do not spin forever: the backend degrades with a typed
 //! [`wfa_kernel::backend::Degradation`] (`quorum-lost`) that flows through
 //! the `MemoryBackend` seam and that `wfa-faults` promotes to a replayable,
-//! shrinkable violation. The historical `net: quorum unreachable` panic
-//! survives only behind [`config::NetConfig::legacy_panic`].
+//! shrinkable violation.
 //!
 //! ```
 //! use wfa_kernel::prelude::*;

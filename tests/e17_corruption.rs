@@ -38,7 +38,7 @@ fn e17_ksa_decisions_survive_corruption_byte_identically() {
     for seed in [3u64, 7, 9] {
         let base = run_plan(&plain, &FaultPlan::clean(), seed);
         assert!(base.violations.is_empty(), "seed {seed}: clean baseline");
-        for node in 0..plain.net_nodes {
+        for node in 0..plain.backend.nodes() {
             let plan = FaultPlan::clean().corrupt_link(node, 0, plain.stab);
             let got = run_plan(&plain, &plan, seed);
             assert_eq!(got.report.output, base.report.output, "seed {seed} node {node}");
