@@ -1,7 +1,7 @@
 //! Bench family B0 — kernel substrate costs.
 //!
 //! Register read/write throughput of the addressed shared memory, executor
-//! step dispatch, and the ⚖ snapshot ablation from `DESIGN.md`: the granted
+//! step dispatch and fingerprinting, and the ⚖ snapshot ablation from `DESIGN.md`: the granted
 //! atomic-snapshot primitive vs. the register-level double-collect
 //! construction that justifies it.
 
@@ -68,7 +68,21 @@ fn bench_executor(c: &mut Criterion) {
         for _ in 0..64 {
             ex.step(p, None);
         }
+        // After the first call every slot hash is cached: this measures
+        // the cached path only.
         b.iter(|| black_box(ex.fingerprint()));
+    });
+    g.bench_function("step_then_fingerprint", |b| {
+        // What the explorer pays per child: one step marks one slot stale,
+        // and the fingerprint rehashes that slot alone.
+        let mut ex = wfa::kernel::executor::Executor::new();
+        let pids: Vec<Pid> = (0..4).map(|i| ex.add_process(Box::new(Writer(i)))).collect();
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % pids.len();
+            ex.step(pids[i], None);
+            black_box(ex.fingerprint())
+        });
     });
     g.finish();
 }

@@ -88,6 +88,11 @@ pub struct GossipBackend {
     dir: BTreeMap<RegKey, usize>,
     /// Per-replica delta-states.
     replicas: Vec<ReplicaStore>,
+    /// Per-replica cached Merkle digest root and the slot count it was built
+    /// over; `None` once a fresh merge or a crash wipe changes the replica's
+    /// slots. A real replica keeps its root current the same way. Derived
+    /// from `replicas`: excluded from the fingerprint.
+    roots: Vec<Option<(usize, u64)>>,
     /// The write-ahead delta log: every delta ever minted, in mint order.
     /// Durable by definition (it is the write path's record), it feeds
     /// recovery self-heals and crash-refills of peer buffers.
@@ -161,6 +166,7 @@ impl GossipBackend {
             cfg,
             dir: BTreeMap::new(),
             replicas: (0..n).map(|_| ReplicaStore::new(n)).collect(),
+            roots: vec![None; n],
             log: Vec::new(),
             next_dot: vec![0; n],
             wseq: 0,
@@ -246,6 +252,7 @@ impl GossipBackend {
         if !self.replicas[r].merge(&rec) {
             return false;
         }
+        self.roots[r] = None;
         for q in 0..self.nodes() {
             if q != r && !self.buf[r][q].contains(&idx) {
                 self.buf[r][q].push(idx);
@@ -279,6 +286,7 @@ impl GossipBackend {
                     // The store and context die with the process; what it
                     // owed peers is forgotten with it.
                     self.replicas[node].wipe();
+                    self.roots[node] = None;
                     for q in 0..self.nodes() {
                         self.buf[node][q].clear();
                     }
@@ -322,6 +330,19 @@ impl GossipBackend {
                     d.index <= self.replicas[r].seen(d.origin)
                 })
                 .collect();
+        }
+    }
+
+    /// Replica `r`'s digest root over `slots` registers, rebuilt only if its
+    /// slots changed or the directory grew since the last build.
+    fn digest_root(&mut self, r: usize, slots: usize) -> u64 {
+        match self.roots[r] {
+            Some((built, root)) if built == slots => root,
+            _ => {
+                let root = self.replicas[r].digest_tree(slots).root();
+                self.roots[r] = Some((slots, root));
+                root
+            }
         }
     }
 
@@ -374,7 +395,7 @@ impl GossipBackend {
         let slots = self.dir.len();
         // Leg 1, i → p: digest root + causal context.
         let ctx_i = self.replicas[i].ctx.clone();
-        let root_i = self.replicas[i].digest_tree(slots).root();
+        let root_i = self.digest_root(i, slots);
         let Some(t1) = self.net.peer_send(i, p, false, anchor) else {
             self.net.advance_to(horizon);
             return false;
@@ -383,7 +404,7 @@ impl GossipBackend {
         self.gc(p, i, &ctx_i);
         // Leg 2, p → i: the same back.
         let ctx_p = self.replicas[p].ctx.clone();
-        let root_p = self.replicas[p].digest_tree(slots).root();
+        let root_p = self.digest_root(p, slots);
         let Some(t2) = self.net.peer_send(p, i, true, t1) else {
             self.net.advance_to(horizon.max(self.net.now()));
             return false;
@@ -621,8 +642,8 @@ impl MemoryBackend for GossipBackend {
         self.crashed.hash(&mut h);
         self.crash_round.hash(&mut h);
         self.last_degraded_round.hash(&mut h);
-        // `pending`, `resolved` and `stale_since` are observation streams —
-        // deliberately excluded.
+        // `pending`, `resolved` and `stale_since` are observation streams and
+        // `roots` is derived from the replicas — deliberately excluded.
     }
 
     fn clone_backend(&self) -> Box<dyn MemoryBackend> {
@@ -833,6 +854,76 @@ mod tests {
         assert!(g.drain_resolutions().is_empty(), "drain empties the stream");
         assert!(g.run_rounds_until_converged(3 * 3).is_some());
         assert!(g.causal_ok());
+    }
+
+    /// Every cached digest root equals a fresh rebuild of its replica's
+    /// tree over the slot count it was cached for.
+    fn assert_roots_fresh(g: &GossipBackend, op: u64) {
+        for (r, cached) in g.roots.iter().enumerate() {
+            if let Some((slots, root)) = *cached {
+                assert_eq!(root, g.replicas[r].digest_tree(slots).root(), "replica {r} after op {op}");
+            }
+        }
+    }
+
+    /// A seeded read/write mix at interval 1 (one round per op) until the
+    /// clock passes `until`, checking every cached root after each op.
+    fn ops_with_fresh_roots(g: &mut GossipBackend, until: u64) {
+        let mut op = 0u64;
+        while g.runtime().now() < until {
+            let key = RegKey::new(2).at(0, (mix(op) % 12) as u32);
+            let me = Pid((op % 4) as usize);
+            if op % 3 == 0 {
+                g.write(me, op, key, Value::Int(op as i64 + 1));
+            } else {
+                g.read(me, op, key);
+            }
+            assert_roots_fresh(g, op);
+            op += 1;
+        }
+        for _ in 0..3 * g.nodes() {
+            g.round();
+            assert_roots_fresh(g, op);
+        }
+        assert!(g.converged(), "the cluster heals");
+        assert!(g.causal_ok());
+        assert!(g.roots.iter().all(Option::is_some), "exchanges ran on the cached roots");
+    }
+
+    #[test]
+    fn cached_roots_survive_crash_recover_churn() {
+        // Volatile replicas: each crash wipes a store (and must drop its
+        // cached root), each recovery heals it from the log.
+        let mut cfg = GossipConfig::new(4, 7).with_interval(1);
+        cfg.net = cfg
+            .net
+            .with_fault(NetFault::CrashReplica { at: 50, node: 1 })
+            .with_fault(NetFault::RecoverReplica { at: 300, node: 1 })
+            .with_fault(NetFault::CrashReplica { at: 400, node: 3 })
+            .with_fault(NetFault::CrashReplica { at: 450, node: 1 })
+            .with_fault(NetFault::RecoverReplica { at: 700, node: 3 })
+            .with_fault(NetFault::RecoverReplica { at: 800, node: 1 });
+        let obs = MetricsHandle::counters();
+        let _guard = obs_local::enter(&obs, 0, 0);
+        let mut g = GossipBackend::new(cfg);
+        ops_with_fresh_roots(&mut g, 1_000);
+        assert_eq!(obs.get(Counter::NetReplicaCrashes), 3);
+        assert!(obs.get(Counter::NetGossipDigestHits) > 0);
+    }
+
+    #[test]
+    fn cached_roots_survive_partition_and_heal() {
+        let mut cfg = GossipConfig::new(4, 7).with_interval(1);
+        cfg.net = cfg
+            .net
+            .with_fault(NetFault::Partition { at: 0, nodes: vec![2, 3] })
+            .with_fault(NetFault::Heal { at: 2_000 });
+        let obs = MetricsHandle::counters();
+        let _guard = obs_local::enter(&obs, 0, 0);
+        let mut g = GossipBackend::new(cfg);
+        ops_with_fresh_roots(&mut g, 2_500);
+        assert!(obs.get(Counter::NetMsgsDropped) > 0, "the partition cut exchanges");
+        assert!(obs.get(Counter::NetGossipDigestHits) > 0);
     }
 
     #[test]

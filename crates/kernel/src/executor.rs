@@ -20,6 +20,7 @@
 //! [`Executor::fingerprint`] — the two properties the bounded model checker
 //! needs to explore interleavings.
 
+use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -44,11 +45,25 @@ struct Slot {
     proc: Arc<dyn DynProcess>,
     status: Status,
     steps: u64,
-    /// Cached hash of (slot index, status, automaton state), maintained on
-    /// every effective step so run fingerprints are O(#processes-touched),
-    /// not a full rehash. Salted with the slot index so two slots in the same
-    /// local state don't cancel under XOR combination.
-    fp: u64,
+    /// Lazily cached hash of (slot index, status, automaton state); `None`
+    /// while stale. An effective step only marks it stale, and
+    /// [`Executor::fingerprint`] rehashes stale slots on demand, so runs that
+    /// never fingerprint pay nothing and a fork of a fingerprinted run
+    /// rehashes only the slots it steps. Salted with the slot index so two
+    /// slots in the same local state don't cancel under XOR combination.
+    fp: Cell<Option<u64>>,
+}
+
+impl Slot {
+    /// This slot's hash at `index`, recomputed and cached if stale.
+    fn fingerprint(&self, index: usize) -> u64 {
+        if let Some(fp) = self.fp.get() {
+            return fp;
+        }
+        let fp = slot_fp(index, &self.status, &*self.proc);
+        self.fp.set(Some(fp));
+        fp
+    }
 }
 
 impl std::fmt::Debug for Slot {
@@ -99,9 +114,6 @@ pub struct Executor {
     /// to an empty [`SharedMemory`].
     backend: Box<dyn MemoryBackend>,
     slots: Vec<Slot>,
-    /// XOR of the cached per-slot fingerprints — the incremental "process
-    /// side" of [`Executor::fingerprint`].
-    procs_fp: u64,
     clock: u64,
     trace: Option<Trace>,
     /// Structured degradations drained from the backend after each step, in
@@ -127,10 +139,12 @@ impl Executor {
     /// Registers a process; its [`Pid`] is its registration index.
     pub fn add_process(&mut self, proc: Box<dyn DynProcess>) -> Pid {
         let index = self.slots.len();
-        let status = Status::Running;
-        let fp = slot_fp(index, &status, &*proc);
-        self.procs_fp ^= fp;
-        self.slots.push(Slot { proc: Arc::from(proc), status, steps: 0, fp });
+        self.slots.push(Slot {
+            proc: Arc::from(proc),
+            status: Status::Running,
+            steps: 0,
+            fp: Cell::new(None),
+        });
         Pid(index)
     }
 
@@ -214,7 +228,7 @@ impl Executor {
     pub fn step(&mut self, pid: Pid, fd: Option<&Value>) -> &Status {
         let now = self.clock;
         self.clock += 1;
-        let obs = self.obs.clone();
+        let obs = &self.obs;
         let slot = &mut self.slots[pid.0];
         if slot.status.is_running() {
             slot.steps += 1;
@@ -229,14 +243,12 @@ impl Executor {
                 // Install the recording context so automata (which cannot
                 // hold a handle — they must stay `Clone + Hash`) can record
                 // advice/simulation events through `wfa_obs::local`.
-                let _guard = obs_local::enter(&obs, now, pid.0 as u32);
+                let _guard = obs_local::enter(obs, now, pid.0 as u32);
                 proc.step(&mut ctx)
             } else {
                 proc.step(&mut ctx)
             };
-            self.procs_fp ^= slot.fp;
-            slot.fp = slot_fp(pid.0, &slot.status, &*slot.proc);
-            self.procs_fp ^= slot.fp;
+            *slot.fp.get_mut() = None;
             let decided = matches!(slot.status, Status::Decided(_));
             if let Some(trace) = &mut self.trace {
                 trace.push(TraceEvent { time: now, pid, op: ctx.last_op(), decided });
@@ -322,14 +334,16 @@ impl Executor {
     /// configuration by different-length schedules are the same state for
     /// exploration purposes.
     ///
-    /// O(1): both the memory and the process side keep incrementally
-    /// maintained content fingerprints (updated on each register write and
-    /// automaton step), so this only mixes two running hashes instead of
-    /// rehashing the full run state per visited node.
+    /// The process side is the XOR of the per-slot hashes. Each slot caches
+    /// its hash and a step only marks it stale, so this rehashes just the
+    /// slots stepped since the last call (one per child when the explorer
+    /// forks a fingerprinted parent) and XORs the rest from the cache. The
+    /// memory side is the backend's incrementally maintained content hash.
     pub fn fingerprint(&self) -> u64 {
+        let procs = self.slots.iter().enumerate().fold(0, |acc, (i, s)| acc ^ s.fingerprint(i));
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.backend.fingerprint(&mut h);
-        self.procs_fp.hash(&mut h);
+        procs.hash(&mut h);
         h.finish()
     }
 }
@@ -423,6 +437,113 @@ mod tests {
         assert_ne!(ex.fingerprint(), fork.fingerprint());
         ex.step(Pid(1), None);
         assert_eq!(ex.fingerprint(), fork.fingerprint());
+    }
+
+    /// Reads one register, writes a mix of what it read into another, and
+    /// decides after `left` steps: enough state churn to expose a stale
+    /// slot hash.
+    #[derive(Clone, Hash)]
+    struct Walker {
+        id: u32,
+        left: u32,
+        acc: i64,
+    }
+
+    impl Process for Walker {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+            if self.left == 0 {
+                return Status::Decided(Value::Int(self.acc));
+            }
+            self.left -= 1;
+            let key = RegKey::new(1).at(0, (self.acc.unsigned_abs() % 4) as u32);
+            if self.left % 2 == 0 {
+                if let Value::Int(v) = ctx.read(key) {
+                    self.acc = self.acc.wrapping_mul(31).wrapping_add(v);
+                }
+            } else {
+                ctx.write(key, Value::Int(self.acc ^ i64::from(self.id)));
+            }
+            Status::Running
+        }
+    }
+
+    /// The run fingerprint rebuilt from scratch: every memory cell and every
+    /// slot rehashed, no cache consulted.
+    fn eager_fingerprint(ex: &Executor) -> u64 {
+        let mem = ex.memory();
+        let cells = mem.iter().fold(0u64, |acc, (k, v)| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            k.hash(&mut h);
+            v.hash(&mut h);
+            acc ^ h.finish()
+        });
+        let procs = ex
+            .slots
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, s)| acc ^ slot_fp(i, &s.status, &*s.proc));
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        mem.len().hash(&mut h);
+        cells.hash(&mut h);
+        procs.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn cached_fingerprint_matches_an_eager_rehash() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut root = Executor::new();
+            for id in 0..rng.gen_range(1..5u32) {
+                let left = rng.gen_range(0..12);
+                root.add_process(Box::new(Walker { id, left, acc: i64::from(id) }));
+            }
+            assert_eq!(root.fingerprint(), eager_fingerprint(&root), "seed {seed}: fresh run");
+            let mut pool = vec![root];
+            for op in 0..300 {
+                let at = rng.gen_range(0..pool.len());
+                let n = pool[at].n();
+                let touched = match rng.gen_range(0..3) {
+                    // Step a random process of a random run.
+                    0 => {
+                        pool[at].step(Pid(rng.gen_range(0..n)), None);
+                        at
+                    }
+                    // Fork it and step the fork, as the explorer does.
+                    1 => {
+                        let mut fork = pool[at].clone();
+                        fork.step(Pid(rng.gen_range(0..n)), None);
+                        if pool.len() < 8 {
+                            pool.push(fork);
+                            pool.len() - 1
+                        } else {
+                            let slot = rng.gen_range(0..pool.len());
+                            pool[slot] = fork;
+                            slot
+                        }
+                    }
+                    // A null step of a decided process, if there is one.
+                    _ => {
+                        let decided = (0..n).map(Pid).find(|p| !pool[at].status(*p).is_running());
+                        if let Some(p) = decided {
+                            let before = pool[at].fingerprint();
+                            pool[at].step(p, None);
+                            assert_eq!(pool[at].fingerprint(), before, "seed {seed} op {op}");
+                        }
+                        at
+                    }
+                };
+                // The run an op changed, and the run it forked from (whose
+                // automata the fork shared until its step copied them).
+                for i in [at, touched] {
+                    let ex = &pool[i];
+                    assert_eq!(ex.fingerprint(), eager_fingerprint(ex), "seed {seed} op {op} run {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,11 +82,12 @@ impl RandomSched {
 
 impl Scheduler for RandomSched {
     fn next(&mut self, ex: &Executor) -> Option<Pid> {
-        let running: Vec<Pid> = self.pids.iter().copied().filter(|p| ex.status(*p).is_running()).collect();
-        if running.is_empty() {
+        let mut running = self.pids.iter().copied().filter(|p| ex.status(*p).is_running());
+        let count = running.clone().count();
+        if count == 0 {
             return None;
         }
-        Some(running[self.rng.gen_range(0..running.len())])
+        running.nth(self.rng.gen_range(0..count))
     }
 }
 
@@ -388,6 +389,25 @@ mod tests {
         // fairness: step counts within 1 of each other
         let counts: Vec<u64> = ex.pids().map(|p| ex.steps(p)).collect();
         assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1);
+    }
+
+    #[test]
+    fn random_sched_indexes_the_running_set_with_one_draw() {
+        // The reference: collect the running pids and index them with the
+        // same draw. Processes decide at different times, so the running
+        // set shrinks and the pick must skip decided ones.
+        let mut ex = Executor::new();
+        for i in 0..5 {
+            ex.add_process(Box::new(DecideAfter { left: 2 + 3 * i }));
+        }
+        let mut sched = RandomSched::over_all(&ex, 11);
+        let mut rng = SmallRng::seed_from_u64(11);
+        while let Some(pid) = sched.next(&ex) {
+            let running: Vec<Pid> = ex.pids().filter(|p| ex.status(*p).is_running()).collect();
+            assert_eq!(pid, running[rng.gen_range(0..running.len())]);
+            ex.step(pid, None);
+        }
+        assert!(ex.quiescent());
     }
 
     #[test]
