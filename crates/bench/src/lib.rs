@@ -14,15 +14,11 @@
 use wfa::core::harness::EfdRun;
 use wfa::fd::detectors::FdGen;
 use wfa::fd::pattern::FailurePattern;
-use wfa::kernel::backend::MemoryBackend;
 use wfa::kernel::process::DynProcess;
 use wfa::kernel::value::Value;
 use wfa::faults::backend::BackendSpec;
 use wfa::obs::metrics::MetricsHandle;
 use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-
-pub mod gossip;
-pub mod throughput;
 
 pub use wfa;
 
@@ -65,25 +61,6 @@ pub fn run_ksa_backend(
     obs: &MetricsHandle,
     nodes: usize,
 ) -> u64 {
-    let spec = if nodes > 0 { BackendSpec::net(nodes) } else { BackendSpec::Shm };
-    run_ksa_with(n, k, stab, seed, obs, spec.build(seed, &[]))
-}
-
-/// [`run_ksa_backend`] over an arbitrary pre-built [`MemoryBackend`] — the
-/// seam the B10 throughput driver uses to push the same pipeline over
-/// batched and sharded backends.
-///
-/// # Panics
-///
-/// Panics if some C-process fails to decide within the budget.
-pub fn run_ksa_with(
-    n: usize,
-    k: usize,
-    stab: u64,
-    seed: u64,
-    obs: &MetricsHandle,
-    backend: Box<dyn MemoryBackend>,
-) -> u64 {
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
     let c: Vec<Box<dyn DynProcess>> = inputs
         .iter()
@@ -94,7 +71,9 @@ pub fn run_ksa_with(
         .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32)) as Box<dyn DynProcess>)
         .collect();
     let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, stab, seed);
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone()).with_backend(backend);
+    let spec = if nodes > 0 { BackendSpec::net(nodes) } else { BackendSpec::Shm };
+    let mut run =
+        EfdRun::new(c, s, fd).with_metrics(obs.clone()).with_backend(spec.build(seed, &[]));
     let mut sched = run.fair_sched(seed ^ 0xb5);
     run.run_until_decided(&mut sched, 5_000_000)
         .expect("undecided C-processes in bench run")

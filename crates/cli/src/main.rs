@@ -47,9 +47,8 @@ use wfa::tasks::task::Task;
 
 /// The register substrate named by `--backend`: the in-process shared
 /// memory (`shm`, the default), the ABD emulation over `--net-nodes`
-/// replicas (`net`) — batching up to `--batch-max` same-pid ops per quorum
-/// round (default 1, the e14-pinned classic path) and split into
-/// `--shards` independent replica groups (default 1) — or the delta-CRDT
+/// replicas (`net`) — split into `--shards` independent replica groups
+/// (default 1) — or the delta-CRDT
 /// anti-entropy substrate over `--net-nodes` replicas (`gossip`), with an
 /// exchange round every `--gossip-interval` ops (default 1) and the
 /// non-monotone guard disarmed by `--gossip-unsafe`. `--net-nodes`
@@ -57,16 +56,12 @@ use wfa::tasks::task::Task;
 /// fully determines the network too.
 fn backend_spec(backend: &str, args: &Args, nodes: usize) -> Result<BackendSpec, String> {
     let nodes: usize = args.get("net-nodes", nodes)?;
-    let batch_max: u64 = args.get("batch-max", 1)?;
     let shards: usize = args.get("shards", 1)?;
     let gossip_interval: u64 = args.get("gossip-interval", 1)?;
     let gossip_unsafe: bool = args.get("gossip-unsafe", false)?;
     match backend {
         "shm" => Ok(BackendSpec::Shm),
-        "net" => Ok(BackendSpec::Net {
-            cfg: NetConfig { batch_max: batch_max.max(1), ..NetConfig::new(nodes, 0) },
-            shards,
-        }),
+        "net" => Ok(BackendSpec::Net { cfg: NetConfig::new(nodes, 0), shards }),
         "gossip" => Ok(BackendSpec::Gossip(GossipConfig {
             allow_nonmonotone: gossip_unsafe,
             ..GossipConfig::new(nodes, 0).with_interval(gossip_interval)
@@ -274,27 +269,6 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
         for (k, bound, observed) in &rows {
             println!("{k:>4} {bound:>8} {observed:>8}");
         }
-    }
-    Ok(())
-}
-
-fn cmd_throughput(args: &Args) -> Result<(), String> {
-    let ops: u64 = args.get("ops", 2_000)?;
-    let seed: u64 = args.get("seed", 1)?;
-    if ops == 0 {
-        return Err("need --ops ≥ 1".into());
-    }
-    // The report carries only deterministic counts (ops, messages, batch
-    // rounds, per-shard traffic) — a pure function of (--ops, --seed), so
-    // CI diffs it byte-for-byte across WFA_THREADS values. Wall-clock
-    // curves live in BENCH_net_throughput.json (emit_bench_net_throughput).
-    let report = wfa_bench::throughput::b10_report(ops, seed);
-    match args.0.get("out") {
-        Some(path) => {
-            std::fs::write(path, &report).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("B10 report ({} bytes) written to {path}", report.len());
-        }
-        None => print!("{report}"),
     }
     Ok(())
 }
@@ -851,7 +825,6 @@ fn usage() -> &'static str {
      COMMANDS\n\
        ksa        EFD k-set agreement   (--n --k --stab --seed --crashes --backend)\n\
        rename     renaming sweep        (--j --seeds --backend)\n\
-       throughput B10 net-backend report (--ops --seed --out)\n\
        hierarchy  Theorem-10 table      (--n --runs)\n\
        refute     Lemma-11 pipeline\n\
        extract    Figure-1 extraction   (--slots --stab --seed)\n\
@@ -864,15 +837,12 @@ fn usage() -> &'static str {
      to run over the in-process shared memory, the ABD-replicated network\n\
      emulation, or the delta-CRDT anti-entropy substrate (identical\n\
      decision values for identical seeds on fault-free runs). With\n\
-     --backend net, --batch-max B coalesces up to B same-pid register ops\n\
-     per quorum round and --shards S splits the register space across S\n\
-     independent replica groups of --net-nodes replicas each; neither knob\n\
-     changes decisions or schedules. With --backend gossip, ops are\n\
+     --backend net, --shards S splits the register space across S\n\
+     independent replica groups of --net-nodes replicas each; it changes\n\
+     neither decisions nor schedules. With --backend gossip, ops are\n\
      replica-local (zero messages on the op path), --gossip-interval R runs\n\
      an anti-entropy round every R ops, and --gossip-unsafe disarms the\n\
-     monotone-register guard. `throughput` prints the deterministic\n\
-     B10 counter report for those knobs (byte-identical for any thread\n\
-     count; wall-clock curves live in BENCH_net_throughput.json)."
+     monotone-register guard."
 }
 
 fn main() -> ExitCode {
@@ -904,7 +874,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "ksa" => cmd_ksa(&args),
         "rename" => cmd_rename(&args),
-        "throughput" => cmd_throughput(&args),
         "hierarchy" => cmd_hierarchy(&args),
         "refute" => cmd_refute(&args),
         "extract" => cmd_extract(&args),
@@ -939,7 +908,6 @@ mod tests {
             "fragile-commit   n=3 budget=10000 backend=shm (adopt-commit(3))",
             "ksa              n=3 budget=300000 backend=shm (2-set-agreement(m=3))",
             "ksa-net          n=3 budget=300000 backend=net(3) (2-set-agreement(m=3))",
-            "ksa-net-batch    n=3 budget=300000 backend=net(3,batch=4) (2-set-agreement(m=3))",
             "ksa-net-corrupt  n=3 budget=300000 backend=net(3,corrupt=5) (2-set-agreement(m=3))",
             "ksa-net-gossip   n=3 budget=300000 backend=gossip(4) (2-set-agreement(m=3))",
             "ksa-net-reorder  n=3 budget=300000 backend=net(3,reorder) (2-set-agreement(m=3))",

@@ -32,7 +32,7 @@ pub enum BackendSpec {
     /// `RegKey::shard_index`, and every cluster gets the same faults,
     /// addressed by group-local replica index.
     Net {
-        /// Replica count, link timing, batching and corruption knobs.
+        /// Replica count, link timing and corruption knobs.
         cfg: NetConfig,
         /// Independent replica groups.
         shards: usize,
@@ -85,7 +85,7 @@ impl BackendSpec {
     }
 }
 
-/// `shm`, `net(N[,reorder][,batch=B][,corrupt=C][,shards=S])` or
+/// `shm`, `net(N[,reorder][,corrupt=C][,shards=S])` or
 /// `gossip(N)`: the replica count plus every knob the catalog scenarios set
 /// away from its default.
 impl fmt::Display for BackendSpec {
@@ -96,9 +96,6 @@ impl fmt::Display for BackendSpec {
                 write!(f, "net({}", cfg.nodes)?;
                 if !cfg.fifo {
                     write!(f, ",reorder")?;
-                }
-                if cfg.batch_max > 1 {
-                    write!(f, ",batch={}", cfg.batch_max)?;
                 }
                 if cfg.corrupt_every > 0 {
                     write!(f, ",corrupt={}", cfg.corrupt_every)?;

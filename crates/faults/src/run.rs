@@ -409,44 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_scenario_reproduces_unbatched_outcomes() {
-        // Batching is a message-economy change only: `ksa-net-batch` must
-        // decide the same values on the same schedules as `ksa-net` for
-        // every plan and seed, and degrade whenever `ksa-net` degrades
-        // (the stranded phase is named `batch` instead of a per-op phase,
-        // but the quorum-loss observation itself is preserved).
-        let plain = Scenario::ksa_net();
-        let batched = Scenario::ksa_net_batch();
-        assert!(matches!(&batched.backend, BackendSpec::Net { cfg, .. } if cfg.batch_max == 4));
-        for plan in [
-            FaultPlan::clean(),
-            FaultPlan::clean().drop_link(1, 0, plain.stab),
-            FaultPlan::clean().partition(vec![0, 1], 0), // majority-breaking
-        ] {
-            for seed in [3, 9] {
-                let a = run_plan(&plain, &plan, seed);
-                let b = run_plan(&batched, &plan, seed);
-                assert_eq!(a.report.output, b.report.output, "{}", plan.describe());
-                assert_eq!(a.schedule, b.schedule, "{}", plan.describe());
-                let lost = |o: &PlanOutcome| {
-                    o.violations
-                        .iter()
-                        .any(|v| matches!(v.kind, ViolationKind::QuorumLost { .. }))
-                };
-                assert_eq!(lost(&a), lost(&b), "{}", plan.describe());
-                let safety = |o: &PlanOutcome| {
-                    o.violations
-                        .iter()
-                        .filter(|v| !matches!(v.kind, ViolationKind::QuorumLost { .. }))
-                        .map(|v| v.kind.clone())
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(safety(&a), safety(&b), "{}", plan.describe());
-            }
-        }
-    }
-
-    #[test]
     fn corrupted_scenario_reproduces_clean_outcomes() {
         // Corruption plus quarantine is a message-economy change only: with
         // every damaged message detected, dropped before delivery and later

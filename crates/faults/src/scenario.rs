@@ -75,7 +75,7 @@ pub struct Scenario {
     /// Detector stabilization time.
     pub stab: u64,
     /// The register substrate, built by [`crate::run::build_run`] from the
-    /// run seed with the plan's network faults. Batching and corruption
+    /// run seed with the plan's network faults. Sharding and corruption
     /// change only an ABD run's message economy, never its slots or
     /// decisions. Gossip reads may be *stale* — loss and partitions change
     /// which value an op observes, not just its cost — so sweeps over
@@ -109,7 +109,6 @@ impl Scenario {
             "fragile-commit" => Some(Scenario::fragile_commit()),
             "ksa" => Some(Scenario::ksa()),
             "ksa-net" => Some(Scenario::ksa_net()),
-            "ksa-net-batch" => Some(Scenario::ksa_net_batch()),
             "ksa-net-corrupt" => Some(Scenario::ksa_net_corrupt()),
             "ksa-net-gossip" => Some(Scenario::ksa_net_gossip()),
             "ksa-net-reorder" => Some(Scenario::ksa_net_reorder()),
@@ -128,7 +127,6 @@ impl Scenario {
             "fragile-commit",
             "ksa",
             "ksa-net",
-            "ksa-net-batch",
             "ksa-net-corrupt",
             "ksa-net-gossip",
             "ksa-net-reorder",
@@ -248,19 +246,6 @@ impl Scenario {
         sc.name = "ksa-net-reorder".into();
         sc.backend =
             BackendSpec::Net { cfg: NetConfig { fifo: false, ..NetConfig::new(3, 0) }, shards: 1 };
-        sc
-    }
-
-    /// [`Scenario::ksa_net`] with op batching (`batch_max = 4`): adjacent
-    /// same-pid register ops coalesce into single quorum rounds. Decisions,
-    /// slots, and therefore violations are identical to `ksa-net` for every
-    /// plan — the fixture that keeps the sweep honest about the batched
-    /// path's equivalence guarantee.
-    pub fn ksa_net_batch() -> Scenario {
-        let mut sc = Scenario::ksa_net();
-        sc.name = "ksa-net-batch".into();
-        sc.backend =
-            BackendSpec::Net { cfg: NetConfig { batch_max: 4, ..NetConfig::new(3, 0) }, shards: 1 };
         sc
     }
 

@@ -926,6 +926,67 @@ mod tests {
         assert!(obs.get(Counter::NetGossipDigestHits) > 0);
     }
 
+    /// Drives a seeded stream of `ops` register ops (4 pids, 24 keys, one
+    /// write in four) straight at `g`, then runs anti-entropy rounds with
+    /// ops stopped until every live replica holds the same delta-state.
+    /// Returns the messages sent and rounds run while the stream ran, and
+    /// the rounds stabilization took (`None`: not within 3n).
+    fn stream_then_stabilize(
+        g: &mut GossipBackend,
+        ops: u64,
+        seed: u64,
+    ) -> (u64, u64, Option<u64>) {
+        let obs = MetricsHandle::counters();
+        let _guard = obs_local::enter(&obs, 0, 0);
+        for op in 0..ops {
+            let r = mix(seed ^ op);
+            let key = RegKey::new(9).at(0, ((r >> 8) % 24) as u32);
+            if r & 3 == 0 {
+                g.write(Pid((op % 4) as usize), op, key, Value::Int((r >> 32) as i64));
+            } else {
+                g.read(Pid((op % 4) as usize), op, key);
+            }
+        }
+        let (msgs, rounds) = (obs.get(Counter::NetMsgsSent), obs.get(Counter::NetGossipRounds));
+        (msgs, rounds, g.run_rounds_until_converged(3 * g.nodes() as u64))
+    }
+
+    #[test]
+    fn slower_cadence_sends_fewer_messages_and_still_stabilizes() {
+        let cell = |interval| {
+            let mut g = GossipBackend::new(GossipConfig::new(4, 7).with_interval(interval));
+            stream_then_stabilize(&mut g, 2_000, 7)
+        };
+        let ((fast_msgs, fast_rounds, fast), (slow_msgs, slow_rounds, slow)) = (cell(1), cell(16));
+        // Fewer rounds → fewer messages; the backlog the stream leaves
+        // behind still drains within the 3n stabilization budget.
+        assert!(slow_rounds < fast_rounds, "slow {slow_rounds} vs fast {fast_rounds} rounds");
+        assert!(slow_msgs < fast_msgs, "slow {slow_msgs} vs fast {fast_msgs} messages");
+        assert!(fast.is_some(), "interval 1 must stabilize within 3n");
+        assert!(slow.is_some(), "interval 16 must stabilize within 3n");
+    }
+
+    #[test]
+    fn streams_stabilize_after_partition_and_after_churn() {
+        let partition =
+            [NetFault::Partition { at: 0, nodes: vec![0] }, NetFault::Heal { at: 600 }];
+        let churn = [
+            NetFault::CrashReplica { at: 120, node: 0 },
+            NetFault::RecoverReplica { at: 600, node: 0 },
+        ];
+        for (plan, faults) in [("partition", &partition), ("churn", &churn)] {
+            for n in [4usize, 8] {
+                let mut cfg = GossipConfig::new(n, 7).with_interval(1);
+                cfg.net.faults = faults.to_vec();
+                let mut g = GossipBackend::new(cfg);
+                let (_, _, stabilized) = stream_then_stabilize(&mut g, 2_000, 7);
+                assert!(g.runtime().now() > 600, "{plan} n={n}: the stream outlasts the fault");
+                assert!(stabilized.is_some(), "{plan} n={n} failed to stabilize within 3n");
+                assert!(g.causal_ok(), "{plan} n={n}: replica state is not a causal replay");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "gossip: non-monotone register program")]
     fn erasure_is_refused_without_the_unsafe_gate() {

@@ -48,25 +48,6 @@
 //! first probe that finds a quorum ends the spell, and subsequent reads
 //! lazily repair replica state that trails the view (write-back under a
 //! fresh tag).
-//!
-//! **Op batching** ([`NetConfig::batch_max`] > 1). The EFD algorithms hammer
-//! a small register set in tight same-process loops, so adjacent ops by one
-//! pid are coalesced into a single two-phase quorum round: each op is served
-//! immediately from the linearized view (reads return `view.peek`, writes
-//! land in the view) and its key is queued; the buffer flushes — one phase-1
-//! read-quorum plus one phase-2 write-back carrying the whole
-//! (register, value) batch — when it reaches `batch_max`, or eagerly when an
-//! op by a *different* pid arrives (cross-pid batching would let one
-//! process's network stall reorder another's op, which the slot-equivalence
-//! guarantee forbids). Every flushed key is written back under a fresh tag
-//! with its current view value, so replicas converge to the linearized truth
-//! exactly as the unbatched protocol leaves them. Because the view is the
-//! value authority in both modes, a batched run returns the same value for
-//! every op — and therefore consumes the same schedule slots and reaches the
-//! same decisions — as the unbatched run; only the message economy differs.
-//! The read-optimized unanimity skip does not apply to batched rounds (a
-//! batch's phase 2 carries fresh tags, which are never already installed).
-//! With the default `batch_max = 1` the classic path runs byte-identically.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -162,10 +143,11 @@ pub struct AbdBackend {
     /// order; fingerprints iterate this map so they stay key-canonical.
     dir: BTreeMap<RegKey, usize>,
     /// The linearized contents — what each operation's outcome agreed to.
-    /// Serves [`MemoryBackend::view`] and doubles as a self-check: a
-    /// quorum read that disagrees with the view would be a linearizability
-    /// bug in the emulation (debug-asserted while never degraded). During
-    /// and after a degraded spell it is the authoritative value ops serve.
+    /// Serves [`MemoryBackend::view`]. Its remaining readers inside the
+    /// backend are degraded reads (served from it), degraded writes
+    /// (carried only by it), the lazy repair after a spell (which writes
+    /// its value back to a quorum), and the debug self-check that a quorum
+    /// read agrees with it while no spell ever happened.
     view: SharedMemory,
     /// The crash/recover timeline, `(tick, node, is_crash)`, sorted by tick
     /// (stable — config order breaks ties, matching the runtime's
@@ -197,21 +179,6 @@ pub struct AbdBackend {
     /// Resolutions (spell-closing edges) not yet drained by the executor.
     /// Observation stream, excluded from the fingerprint like `pending`.
     resolved: Vec<Resolution>,
-    /// Keys awaiting the next batched flush, in first-enqueue order
-    /// (repeat accesses to a queued key dedupe). Empty when
-    /// [`NetConfig::batch_max`] is 1.
-    batch_keys: Vec<RegKey>,
-    /// Pid whose adjacent ops the current batch coalesces.
-    batch_pid: u64,
-    /// Kernel time of the latest op absorbed into the batch (labels the
-    /// degradation if the flush stalls; observation-only).
-    batch_time: u64,
-    /// Ops absorbed since the last flush (≥ `batch_keys.len()`).
-    batch_ops: u64,
-    /// How many of those were reads.
-    batch_reads: u64,
-    /// How many of those were writes.
-    batch_writes: u64,
 }
 
 impl AbdBackend {
@@ -242,12 +209,6 @@ impl AbdBackend {
             ever_degraded: false,
             pending: Vec::new(),
             resolved: Vec::new(),
-            batch_keys: Vec::new(),
-            batch_pid: 0,
-            batch_time: 0,
-            batch_ops: 0,
-            batch_reads: 0,
-            batch_writes: 0,
         }
     }
 
@@ -480,84 +441,6 @@ impl AbdBackend {
             None => tag == Tag::default(),
         })
     }
-
-    /// `true` iff the op-batching path is on.
-    fn batching(&self) -> bool {
-        self.net.config().batch_max > 1
-    }
-
-    /// Absorbs one register op into the batch buffer and flushes when the
-    /// buffer reaches [`NetConfig::batch_max`]. The caller has already
-    /// served the op from the view.
-    fn enqueue(&mut self, me: Pid, now: u64, key: RegKey, is_read: bool) {
-        obs_local::bump(Counter::NetBatchedOps);
-        self.batch_pid = me.0 as u64;
-        self.batch_time = now;
-        self.batch_ops += 1;
-        if is_read {
-            self.batch_reads += 1;
-        } else {
-            self.batch_writes += 1;
-        }
-        if !self.batch_keys.contains(&key) {
-            self.batch_keys.push(key);
-        }
-        if self.batch_ops >= self.net.config().batch_max {
-            self.flush_batch();
-        }
-    }
-
-    /// Flushes the batch buffer eagerly when `me` differs from the buffered
-    /// run's pid — only *adjacent same-pid* ops coalesce (see module docs).
-    fn flush_if_foreign(&mut self, me: Pid) {
-        if self.batch_ops > 0 && self.batch_pid != me.0 as u64 {
-            self.flush_batch();
-        }
-    }
-
-    /// Flushes the batched ops in one coalesced quorum round: a single
-    /// phase-1 read-quorum establishing the per-key maximum tags, then a
-    /// single phase-2 write-back carrying the whole (register, value) batch
-    /// under fresh tags. Values come from the linearized view (the value
-    /// authority in batched mode), so the flush converges the replicas to
-    /// exactly where the unbatched protocol would leave them. A no-op when
-    /// the buffer is empty; on quorum loss the buffer is dropped — the view
-    /// already carries every batched op and `phase` raised the degradation.
-    pub fn flush_batch(&mut self) {
-        if self.batch_ops == 0 {
-            return;
-        }
-        let me = Pid(self.batch_pid as usize);
-        let time = self.batch_time;
-        let keys = std::mem::take(&mut self.batch_keys);
-        let (ops, reads, writes) = (self.batch_ops, self.batch_reads, self.batch_writes);
-        (self.batch_ops, self.batch_reads, self.batch_writes) = (0, 0, 0);
-        obs_local::bump(Counter::NetBatchRounds);
-        obs_local::observe(HistKind::NetBatchSize, ops);
-        let start = self.net.now();
-        let first = keys[0];
-        // Phase 1: one read-quorum covers every key in the batch.
-        let Ok((quorum, _, _)) = self.phase("batch", first, me, time) else {
-            return;
-        };
-        let mut entries: Vec<(usize, Tag, Value)> = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let kx = self.key_index(*key);
-            let (Tag(ts, _), _) = self.collect_max(&quorum, kx);
-            entries.push((kx, Tag(ts + 1, me.0 as u64), self.view.peek(*key)));
-        }
-        // Phase 2: one write-back carries the whole batch.
-        let Ok((_, delivered, done)) = self.phase("batch-store", first, me, time) else {
-            return;
-        };
-        for (kx, tag, val) in &entries {
-            self.apply(&delivered, *kx, *tag, val);
-        }
-        obs_local::add(Counter::NetQuorumReads, reads);
-        obs_local::add(Counter::NetQuorumWrites, writes);
-        obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::QuorumOp, dur: done - start });
-        obs_local::observe(HistKind::QuorumLatency, done - start);
-    }
 }
 
 /// Builds a register-space-sharded backend from `map`: one independent
@@ -576,14 +459,6 @@ pub fn sharded_backend(base: &NetConfig, map: &ShardMap) -> ShardedBackend {
 
 impl MemoryBackend for AbdBackend {
     fn read(&mut self, me: Pid, now: u64, key: RegKey) -> Value {
-        if self.batching() {
-            // Batched: serve the linearized view now, pay the quorum round
-            // at the next flush.
-            self.flush_if_foreign(me);
-            let val = self.view.peek(key);
-            self.enqueue(me, now, key, true);
-            return val;
-        }
         let kx = self.key_index(key);
         let start = self.net.now();
         // Phase 1: query a majority for the latest tagged copy.
@@ -627,14 +502,6 @@ impl MemoryBackend for AbdBackend {
     }
 
     fn write(&mut self, me: Pid, now: u64, key: RegKey, val: Value) {
-        if self.batching() {
-            // Batched: the view carries the write now, the replicas get it
-            // (under a fresh tag) at the next flush.
-            self.flush_if_foreign(me);
-            self.view.write(key, val);
-            self.enqueue(me, now, key, false);
-            return;
-        }
         let kx = self.key_index(key);
         let start = self.net.now();
         // Phase 1: learn the maximum tag a majority has seen.
@@ -685,19 +552,12 @@ impl MemoryBackend for AbdBackend {
         }
         // Replica-failure machine state (`pending`, `resolved` and
         // `spell_since` are observation streams, like the trace —
-        // deliberately excluded, as is `batch_time`, which only labels
-        // degradations).
+        // deliberately excluded).
         self.cursor.hash(&mut h);
         self.serving_from.hash(&mut h);
         self.unsynced.hash(&mut h);
         self.breaker.is_open().hash(&mut h);
         self.ever_degraded.hash(&mut h);
-        // The unflushed batch buffer affects every future flush.
-        self.batch_keys.hash(&mut h);
-        self.batch_pid.hash(&mut h);
-        self.batch_ops.hash(&mut h);
-        self.batch_reads.hash(&mut h);
-        self.batch_writes.hash(&mut h);
     }
 
     fn clone_backend(&self) -> Box<dyn MemoryBackend> {
@@ -1084,112 +944,6 @@ mod tests {
         assert_eq!(obs.get(Counter::NetShard0Msgs), 24);
         let snap = obs.snapshot().unwrap();
         assert!(snap.hists.iter().any(|(n, b)| n == "quorum_latency" && !b.is_empty()));
-    }
-
-    #[test]
-    fn batched_same_pid_ops_coalesce_into_one_round() {
-        let obs = MetricsHandle::counters();
-        let mut cfg = NetConfig::new(4, 7);
-        cfg.batch_max = 4;
-        let mut abd = AbdBackend::new(cfg);
-        let (a, b) = (RegKey::new(0), RegKey::new(0).at(0, 1));
-        {
-            let _g = obs_local::enter(&obs, 0, 0);
-            abd.write(Pid(0), 0, a, Value::Int(1));
-            assert_eq!(abd.read(Pid(0), 1, a), Value::Int(1));
-            abd.write(Pid(0), 2, b, Value::Int(2));
-            assert_eq!(abd.read(Pid(0), 3, b), Value::Int(2));
-        }
-        // 4 same-pid ops → exactly one flushed round of 2 phases over 4
-        // replicas (request+reply): 16 messages, versus 64 unbatched.
-        assert_eq!(obs.get(Counter::NetBatchedOps), 4);
-        assert_eq!(obs.get(Counter::NetBatchRounds), 1);
-        assert_eq!(obs.get(Counter::NetMsgsSent), 16);
-        assert_eq!(obs.get(Counter::NetQuorumReads), 2);
-        assert_eq!(obs.get(Counter::NetQuorumWrites), 2);
-        let snap = obs.snapshot().unwrap();
-        let (_, buckets) =
-            snap.hists.iter().find(|(n, _)| n == "net_batch_size").expect("batch size hist");
-        assert_eq!(buckets.iter().map(|(_, c)| c).sum::<u64>(), 1, "one flush observed");
-        // The flush converged every replica to the view's values.
-        for key in [a, b] {
-            let (tag, val) = abd.collect_max(&[0, 1, 2, 3], abd.dir[&key]);
-            assert_eq!(val, abd.view().peek(key));
-            assert_eq!(tag.1, 0, "written back under the batching pid's tag");
-        }
-    }
-
-    #[test]
-    fn a_foreign_pid_flushes_the_buffered_batch() {
-        let obs = MetricsHandle::counters();
-        let mut cfg = NetConfig::new(3, 9);
-        cfg.batch_max = 16;
-        let mut abd = AbdBackend::new(cfg);
-        let key = RegKey::new(2);
-        {
-            let _g = obs_local::enter(&obs, 0, 0);
-            abd.write(Pid(0), 0, key, Value::Int(5));
-            assert_eq!(abd.read(Pid(0), 1, key), Value::Int(5));
-            assert_eq!(obs.get(Counter::NetBatchRounds), 0, "buffer below batch_max");
-            // A different pid's op may not ride pid 0's round: the buffer
-            // flushes first, then pid 1's op starts a fresh batch.
-            assert_eq!(abd.read(Pid(1), 2, key), Value::Int(5));
-            assert_eq!(obs.get(Counter::NetBatchRounds), 1);
-            assert_eq!(abd.batch_ops, 1, "pid 1's op is buffered, not flushed");
-            assert_eq!(abd.batch_pid, 1);
-            // The tail flush is available for drivers that want exact
-            // counters at the end of a run.
-            abd.flush_batch();
-            assert_eq!(obs.get(Counter::NetBatchRounds), 2);
-            assert_eq!(abd.batch_ops, 0);
-        }
-        assert_eq!(obs.get(Counter::NetBatchedOps), 3);
-    }
-
-    #[test]
-    fn batched_backend_serves_shared_memory_semantics() {
-        // The mirror of `reads_see_the_latest_write_like_shared_memory`,
-        // with batching on and interleaved pids forcing eager flushes.
-        let mut cfg = NetConfig::new(5, 7);
-        cfg.batch_max = 8;
-        let mut abd = AbdBackend::new(cfg);
-        let mut shm = SharedMemory::new();
-        let keys = [RegKey::new(1), RegKey::new(1).at(0, 3), RegKey::new(2).at(1, 1)];
-        for i in 0..60u64 {
-            let key = keys[(i % 3) as usize];
-            if i % 4 == 0 {
-                let v = Value::Int(i as i64);
-                abd.write(Pid((i % 5) as usize), i, key, v.clone());
-                shm.write(key, v);
-            } else {
-                assert_eq!(abd.read(Pid((i % 5) as usize), i, key), shm.peek(key), "op {i}");
-            }
-        }
-        abd.flush_batch();
-        assert_eq!(abd.view().content_fingerprint(), shm.content_fingerprint());
-        // After the tail flush every replica majority holds the view value.
-        for key in keys {
-            let (_, val) = abd.collect_max(&[0, 1, 2, 3, 4], abd.dir[&key]);
-            assert_eq!(val, shm.peek(key));
-        }
-    }
-
-    #[test]
-    fn batched_quorum_loss_degrades_like_the_unbatched_path() {
-        let mut cfg = NetConfig::new(3, 7)
-            .with_fault(NetFault::Partition { at: 0, nodes: vec![0, 1] });
-        cfg.batch_max = 2;
-        let mut abd = AbdBackend::new(cfg);
-        abd.write(Pid(0), 5, RegKey::new(0), Value::Int(1));
-        assert!(!abd.is_degraded(), "one op is below batch_max — no round yet");
-        abd.write(Pid(0), 6, RegKey::new(1), Value::Int(2));
-        assert!(abd.is_degraded(), "the flush hit the majority partition");
-        let raised = abd.drain_degradations();
-        assert_eq!(raised.len(), 1);
-        assert_eq!(raised[0].op, "batch");
-        // Both batched writes were served from the view throughout.
-        assert_eq!(abd.read(Pid(0), 7, RegKey::new(0)), Value::Int(1));
-        assert_eq!(abd.read(Pid(0), 8, RegKey::new(1)), Value::Int(2));
     }
 
     #[test]

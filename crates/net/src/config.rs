@@ -288,10 +288,6 @@ pub struct NetConfig {
     /// write-back is provably redundant). Off by default so the message
     /// counts pinned by E14 stay put.
     pub read_optimized: bool,
-    /// Maximum register ops coalesced into one batched quorum round
-    /// (`1`, the default, disables batching: the classic one-round-per-op
-    /// ABD protocol whose message counts E14 pins byte-for-byte).
-    pub batch_max: u64,
     /// Which replica group this config drives when the register space is
     /// sharded — attribution only (selects the `net_shard{N}_msgs` counter);
     /// `0` for unsharded backends.
@@ -315,7 +311,6 @@ impl NetConfig {
             max_rounds: 3,
             durability: Durability::Volatile,
             read_optimized: false,
-            batch_max: 1,
             shard: 0,
             faults: Vec::new(),
         }
@@ -489,7 +484,6 @@ impl NetConfig {
                 }),
             ),
             ("read_optimized".into(), Json::Bool(self.read_optimized)),
-            ("batch_max".into(), Json::Num(self.batch_max)),
             ("shard".into(), Json::Num(self.shard as u64)),
             ("faults".into(), Json::Arr(self.faults.iter().map(NetFault::to_json).collect())),
         ])
@@ -499,9 +493,17 @@ impl NetConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first shape mismatch.
+    /// Returns a description of the first shape mismatch, or a refusal for
+    /// an artifact recorded with op batching on (`batch_max` > 1): batching
+    /// was removed, and an unbatched replay cannot reproduce a batched run's
+    /// outcome (its stalls name phase `batch`).
     pub fn from_json(json: &Json) -> Result<NetConfig, String> {
         let num = |k: &str| json.get(k).and_then(Json::num).ok_or(format!("config lacks `{k}`"));
+        if let Some(b) = json.get("batch_max").and_then(Json::num).filter(|b| *b > 1) {
+            return Err(format!(
+                "config sets `batch_max` = {b}, but op batching was removed; refusing to replay"
+            ));
+        }
         let mut faults = Vec::new();
         if let Some(arr) = json.get("faults").and_then(Json::arr) {
             for f in arr {
@@ -527,9 +529,7 @@ impl NetConfig {
                 _ => Durability::Volatile,
             },
             read_optimized: json.get("read_optimized").and_then(Json::bool).unwrap_or(false),
-            // PR-5 artifacts predate batching/sharding; default them to the
-            // classic one-round-per-op unsharded protocol.
-            batch_max: json.get("batch_max").and_then(Json::num).unwrap_or(1).max(1),
+            // Artifacts older than sharding lack the key: unsharded.
             shard: json.get("shard").and_then(Json::num).unwrap_or(0) as usize,
             faults,
         })
@@ -569,7 +569,7 @@ impl ShardMap {
 
     /// The [`NetConfig`] driving group `shard`, derived from `base`.
     ///
-    /// The group keeps `base`'s link timing, durability, batching knob, and
+    /// The group keeps `base`'s link timing, durability, and
     /// fault list (faults address group-local replica indices and are
     /// replicated per group), but gets its own replica count and a
     /// deterministically derived per-group seed so the groups' delay streams
@@ -625,7 +625,6 @@ mod tests {
             .with_fault(NetFault::CorruptMessage { at: 12, until: 25, node: 3 });
         cfg.durability = Durability::Durable;
         cfg.read_optimized = true;
-        cfg.batch_max = 16;
         cfg.shard = 2;
         cfg.corrupt_every = 11;
         let back = NetConfig::from_json(&Json::parse(&cfg.to_json().to_string()).unwrap()).unwrap();
@@ -652,13 +651,35 @@ mod tests {
     }
 
     #[test]
-    fn pr5_configs_parse_with_defaulted_batching_fields() {
-        // An artifact written before the batching/sharding fields existed.
+    fn configs_without_a_shard_key_parse_unsharded() {
+        // An artifact written before the shard field existed.
         let legacy = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
                          "drop_every":0,"dup_every":0,"max_rounds":3,"faults":[]}"#;
         let cfg = NetConfig::from_json(&Json::parse(legacy).unwrap()).unwrap();
-        assert_eq!(cfg.batch_max, 1, "legacy configs run the classic unbatched protocol");
         assert_eq!(cfg.shard, 0);
+    }
+
+    #[test]
+    fn unbatched_batch_max_key_still_parses() {
+        // Artifacts recorded while op batching existed carry `batch_max`;
+        // the unbatched value 1 replays exactly as a config without it.
+        let old = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
+                      "drop_every":0,"dup_every":0,"max_rounds":3,
+                      "batch_max":1,"shard":0,"faults":[]}"#;
+        let cfg = NetConfig::from_json(&Json::parse(old).unwrap()).unwrap();
+        assert_eq!(cfg, NetConfig::new(3, 7));
+        assert!(!cfg.to_json().to_string().contains("batch_max"));
+    }
+
+    #[test]
+    fn batched_configs_refuse_to_replay() {
+        let batched = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
+                          "drop_every":0,"dup_every":0,"max_rounds":3,
+                          "batch_max":4,"shard":0,"faults":[]}"#;
+        let err = NetConfig::from_json(&Json::parse(batched).unwrap()).unwrap_err();
+        assert!(err.contains("`batch_max`"), "the message must name the key: {err}");
+        assert!(err.contains("op batching was removed"), "{err}");
+        assert!(err.contains("refusing to replay"), "{err}");
     }
 
     #[test]

@@ -111,11 +111,6 @@ pub enum Counter {
     /// found its quorum again, or a stale gossip replica's reads returned
     /// inside the staleness horizon (each emits one `Resolution`).
     NetDegradationsResolved,
-    /// Register operations absorbed into a batch buffer instead of paying
-    /// their own quorum round (batched ABD, `batch_max > 1`).
-    NetBatchedOps,
-    /// Batched quorum rounds flushed (each covers one or more register ops).
-    NetBatchRounds,
     /// Messages sent by replica group (shard) 0 — subset of `net_msgs_sent`.
     NetShard0Msgs,
     /// Messages sent by replica group (shard) 1.
@@ -161,7 +156,7 @@ pub enum Counter {
 }
 
 /// All counters, in canonical export order.
-pub const COUNTERS: [Counter; 54] = [
+pub const COUNTERS: [Counter; 52] = [
     Counter::ScheduleSlots,
     Counter::EffectiveSteps,
     Counter::NullSteps,
@@ -198,8 +193,6 @@ pub const COUNTERS: [Counter; 54] = [
     Counter::NetReadbackSkips,
     Counter::NetQuorumLost,
     Counter::NetDegradationsResolved,
-    Counter::NetBatchedOps,
-    Counter::NetBatchRounds,
     Counter::NetShard0Msgs,
     Counter::NetShard1Msgs,
     Counter::NetShard2Msgs,
@@ -258,8 +251,6 @@ impl Counter {
             Counter::NetReadbackSkips => "net_readback_skips",
             Counter::NetQuorumLost => "net_quorum_lost",
             Counter::NetDegradationsResolved => "net_degradations_resolved",
-            Counter::NetBatchedOps => "net_batched_ops",
-            Counter::NetBatchRounds => "net_batch_rounds",
             Counter::NetShard0Msgs => "net_shard0_msgs",
             Counter::NetShard1Msgs => "net_shard1_msgs",
             Counter::NetShard2Msgs => "net_shard2_msgs",
@@ -311,19 +302,16 @@ pub enum HistKind {
     /// Simulated-network latency (delivery time minus send time) of each
     /// completed quorum operation.
     QuorumLatency,
-    /// Number of register ops carried by each flushed batched quorum round.
-    NetBatchSize,
     /// Backend ticks each degraded spell lasted, observed at its
     /// resolution — the MTTR distribution soak reports aggregate.
     TimeToRecovery,
 }
 
 /// All histograms, in canonical export order.
-pub const HISTS: [HistKind; 5] = [
+pub const HISTS: [HistKind; 4] = [
     HistKind::PlanCost,
     HistKind::ShardDepth,
     HistKind::QuorumLatency,
-    HistKind::NetBatchSize,
     HistKind::TimeToRecovery,
 ];
 
@@ -338,7 +326,6 @@ impl HistKind {
             HistKind::PlanCost => "plan_cost",
             HistKind::ShardDepth => "shard_depth",
             HistKind::QuorumLatency => "quorum_latency",
-            HistKind::NetBatchSize => "net_batch_size",
             HistKind::TimeToRecovery => "time_to_recovery",
         }
     }

@@ -1,13 +1,12 @@
-//! Experiment E16 — batching/sharding equivalence.
+//! Experiment E16 — sharding equivalence.
 //!
-//! PR 6 makes the ABD backend cheaper (op batching, register-space
-//! sharding) under one pinned guarantee: **neither knob changes semantics**.
-//! A batched and/or sharded run must consume the same schedule slots and
-//! decide the same values as the unbatched, unsharded, and shared-memory
-//! runs for every seed — only the message economy may differ. This suite
-//! sweeps `batch_max ∈ {1, 4, 16}` × `shards ∈ {1, 2, 4}` over the ksa and
-//! renaming pipelines and re-verifies the PR 5 failure modes (quorum-loss
-//! degradation, replica crash/recovery) with batching enabled.
+//! Register-space sharding splits the ABD backend into independent replica
+//! clusters under one pinned guarantee: **it does not change semantics**.
+//! A sharded run must consume the same schedule slots and decide the same
+//! values as the unsharded and shared-memory runs for every seed — only
+//! the message economy may differ. This suite sweeps `shards ∈ {1, 2, 4}`
+//! over the ksa and renaming pipelines. (The test names keep the retired
+//! batch axis's `batch_shard` for continuity of the suite's history.)
 
 use wfa::algorithms::renaming::RenamingFig4;
 use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
@@ -19,17 +18,14 @@ use wfa::kernel::process::DynProcess;
 use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv};
 use wfa::kernel::value::{Pid, Value};
 use wfa::net::abd::{sharded_backend, AbdBackend};
-use wfa::net::config::{NetConfig, NetFault, ShardMap};
-use wfa::obs::metrics::MetricsHandle;
+use wfa::net::config::{NetConfig, ShardMap};
 
-const BATCH: [u64; 3] = [1, 4, 16];
 const SHARDS: [usize; 3] = [1, 2, 4];
 
 /// Backend for one matrix cell: `shards` groups of `nodes` replicas each,
-/// batching up to `batch_max`, with the CLI's seed derivation.
-fn cell_backend(nodes: usize, shards: usize, batch_max: u64, seed: u64) -> Box<dyn MemoryBackend> {
-    let mut cfg = NetConfig::new(nodes, seed ^ 0x7e7);
-    cfg.batch_max = batch_max;
+/// with the CLI's seed derivation.
+fn cell_backend(nodes: usize, shards: usize, seed: u64) -> Box<dyn MemoryBackend> {
+    let cfg = NetConfig::new(nodes, seed ^ 0x7e7);
     if shards > 1 {
         Box::new(sharded_backend(&cfg, &ShardMap::new(shards, nodes)))
     } else {
@@ -84,15 +80,13 @@ fn e16_ksa_decides_identically_across_the_batch_shard_matrix() {
         let (slots, outputs, _) = ksa_run(seed, None);
         assert!(slots.is_some(), "shm baseline must decide (seed {seed})");
         for shards in SHARDS {
-            for batch in BATCH {
-                let (s2, o2, degr) = ksa_run(seed, Some(cell_backend(4, shards, batch, seed)));
-                assert_eq!(
-                    (s2, &o2),
-                    (slots, &outputs),
-                    "seed {seed} shards {shards} batch {batch}: slots/decisions must match shm"
-                );
-                assert_eq!(degr, 0, "healthy network must not degrade");
-            }
+            let (s2, o2, degr) = ksa_run(seed, Some(cell_backend(4, shards, seed)));
+            assert_eq!(
+                (s2, &o2),
+                (slots, &outputs),
+                "seed {seed} shards {shards}: slots/decisions must match shm"
+            );
+            assert_eq!(degr, 0, "healthy network must not degrade");
         }
     }
 }
@@ -106,97 +100,8 @@ fn e16_renaming_decides_identically_across_the_batch_shard_matrix() {
             "someone must acquire a name (seed {seed})"
         );
         for shards in SHARDS {
-            for batch in BATCH {
-                let got = rename_run(seed, Some(cell_backend(3, shards, batch, seed)));
-                assert_eq!(
-                    got, baseline,
-                    "seed {seed} shards {shards} batch {batch}: names must match shm"
-                );
-            }
+            let got = rename_run(seed, Some(cell_backend(3, shards, seed)));
+            assert_eq!(got, baseline, "seed {seed} shards {shards}: names must match shm");
         }
     }
-}
-
-#[test]
-fn e16_quorum_loss_still_degrades_gracefully_with_batching() {
-    // The e15 majority-breaking partition, batched: the flush stalls, the
-    // backend raises typed degradations (phase `batch`), the run still
-    // terminates on the linearized view with the shared-memory decisions.
-    let seed = 7u64;
-    let (_, baseline, _) = ksa_run(seed, None);
-    let mut cfg = NetConfig::new(4, seed ^ 0x7e7);
-    cfg.batch_max = 4;
-    cfg.faults = vec![NetFault::Partition { at: 10, nodes: vec![0, 1, 2] }];
-    let (slots, outputs, degradations) = ksa_run(seed, Some(Box::new(AbdBackend::new(cfg))));
-    assert!(slots.is_some(), "the degraded run must still terminate");
-    assert_eq!(outputs, baseline, "the view serves the linearized values");
-    assert!(degradations > 0, "losing the majority must raise degradations");
-}
-
-#[test]
-fn e16_mid_batch_quorum_loss_matches_unbatched_degradation() {
-    // Quorum loss landing *mid-batch* must be invisible at the semantic
-    // layer: once the retransmission horizon expires, every op in the stuck
-    // batch is served from the linearized view, exactly like the same op
-    // stream under batch_max = 1. Slots, decisions, and the degraded ops'
-    // identities all agree; only the message economy (and the degradation
-    // multiplicity — a batch degrades as one unit) may differ.
-    for seed in [7u64, 19] {
-        let run_with_batch = |batch_max: u64| {
-            let mut cfg = NetConfig::new(4, seed ^ 0x7e7);
-            cfg.batch_max = batch_max;
-            cfg.faults = vec![NetFault::Partition { at: 10, nodes: vec![0, 1, 2] }];
-            ksa_run(seed, Some(Box::new(AbdBackend::new(cfg))))
-        };
-        let (slots1, out1, degr1) = run_with_batch(1);
-        let (slots4, out4, degr4) = run_with_batch(4);
-        let (_, baseline, _) = ksa_run(seed, None);
-        assert!(slots1.is_some() && slots4.is_some(), "both runs terminate (seed {seed})");
-        assert_eq!(slots4, slots1, "seed {seed}: batching must not change the schedule");
-        assert_eq!(out1, baseline, "seed {seed}: unbatched view serves shm decisions");
-        assert_eq!(out4, baseline, "seed {seed}: batched view serves shm decisions");
-        assert!(degr1 > 0 && degr4 > 0, "seed {seed}: both runs lost the quorum");
-    }
-}
-
-#[test]
-fn e16_crash_recovery_counters_survive_batching() {
-    // The e15 crash/recover pair with batch_max = 4: same decisions, same
-    // slots, and the recovery machinery still fires exactly once.
-    let seed = 7u64;
-    let (slots, baseline, _) = ksa_run(seed, None);
-    let obs = MetricsHandle::counters();
-    let (n, k, stab) = (4usize, 2u32, 200u64);
-    let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-    let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
-    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-        .collect();
-    let mut cfg = NetConfig::new(4, seed ^ 0x7e7);
-    cfg.batch_max = 4;
-    cfg.faults = vec![
-        NetFault::CrashReplica { at: 50, node: 2 },
-        NetFault::RecoverReplica { at: 90, node: 2 },
-    ];
-    let mut run = EfdRun::new(c, s, fd)
-        .with_metrics(obs.clone())
-        .with_backend(Box::new(AbdBackend::new(cfg)));
-    let mut sched = run.fair_sched(seed ^ 0xc11);
-    let got_slots = run.run_until_decided(&mut sched, 5_000_000);
-    assert_eq!(got_slots, slots, "batching must not change the schedule");
-    assert_eq!(run.executor.output_vector(), baseline);
-    assert_eq!(run.executor.degradations().len(), 0, "3 of 4 replicas keep the quorum");
-    let snap = obs.snapshot().expect("metrics enabled");
-    for (name, want) in
-        [("net_replica_crashes", 1), ("net_replica_recoveries", 1), ("net_replica_resyncs", 1)]
-    {
-        assert_eq!(snap.counter(name), Some(want), "counter {name}");
-    }
-    assert!(snap.counter("net_batch_rounds").unwrap_or(0) > 0, "batching was active");
 }
