@@ -39,6 +39,7 @@ use wfa::obs::json::Json;
 use wfa::obs::metrics::{MetricsHandle, Snapshot};
 use wfa::obs::span::timeline;
 use wfa::faults::backend::BackendSpec;
+use wfa::faults::chaos::Recovery;
 use wfa::gossip::config::GossipConfig;
 use wfa::net::config::NetConfig;
 use wfa::tasks::agreement::SetAgreement;
@@ -177,14 +178,7 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
                     run.executor
                         .resolutions()
                         .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("class".into(), Json::Str(r.kind.name().into())),
-                                ("shard".into(), Json::Num(r.shard as u64)),
-                                ("degrade_tick".into(), Json::Num(r.degrade_tick)),
-                                ("resolve_tick".into(), Json::Num(r.resolve_tick)),
-                            ])
-                        })
+                        .map(|r| Recovery::from(r).to_json())
                         .collect(),
                 ),
             ),
@@ -519,8 +513,8 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
                 let (shrunk, replays) = chaos::shrink_soak(&report);
                 println!(
                     "shrink   : {} fault(s) -> {} over {replays} re-soak(s)",
-                    report.faults.len(),
-                    shrunk.faults.len()
+                    report.timeline.faults.len(),
+                    shrunk.timeline.faults.len()
                 );
                 report = shrunk;
             }

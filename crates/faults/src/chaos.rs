@@ -36,23 +36,30 @@
 //! the whole backend + model into a bounded ring. On violation it replays
 //! from the last checkpoint — not from tick 0 — and certifies that the
 //! violation reproduces there ([`ReplayInfo`]). Artifacts shrink by
-//! dropping whole fault windows ([`shrink_soak`]) while the violation
-//! keeps reproducing, the same greedy discipline as [`crate::shrink`].
+//! dropping whole fault windows, then freeze windows ([`shrink_soak`]),
+//! while the violation keeps reproducing — the same greedy loop that
+//! shrinks sweep plans in [`crate::shrink`].
+//!
+//! The backend is built by [`BackendSpec::build`], like every other run's,
+//! and driven directly: no executor is in the loop, the op stream *is* the
+//! schedule. The oracles read the backend's clock and open-spell flag
+//! through the [`MemoryBackend`] seam and reach the gossip convergence
+//! checks through its `as_any_mut` downcast.
 
 use std::collections::BTreeMap;
 
 use wfa_gossip::backend::GossipBackend;
-use wfa_gossip::config::GossipConfig;
 use wfa_kernel::backend::{DegradationKind, MemoryBackend, Resolution};
-use wfa_kernel::memory::{RegKey, SharedMemory};
+use wfa_kernel::memory::RegKey;
 use wfa_kernel::value::{Pid, Value};
-use wfa_net::abd::AbdBackend;
 use wfa_net::config::{Durability, NetConfig, NetFault};
 use wfa_net::runtime::mix;
 use wfa_obs::local as obs_local;
 use wfa_obs::metrics::{MetricsHandle, Snapshot};
 
+use crate::backend::BackendSpec;
 use crate::json::Json;
+use crate::shrink::shrink_plan;
 
 /// Registers the soak op stream cycles over (spread across every gossip
 /// home replica by `RegKey::shard_index`).
@@ -107,6 +114,21 @@ impl SoakBackend {
             "net" => Some(SoakBackend::Net),
             "gossip" => Some(SoakBackend::Gossip),
             _ => None,
+        }
+    }
+
+    /// The substrate a soak over `nodes` replicas with run `seed` builds:
+    /// one healthy ABD cluster whose durability policy is drawn from the
+    /// seed ([`draw_durability`]), or an eager gossip cluster.
+    pub(crate) fn spec(self, nodes: usize, seed: u64) -> BackendSpec {
+        match self {
+            SoakBackend::Shm => BackendSpec::Shm,
+            SoakBackend::Net => {
+                let mut cfg = NetConfig::new(nodes, 0);
+                cfg.durability = draw_durability(seed);
+                BackendSpec::Net { cfg, shards: 1 }
+            }
+            SoakBackend::Gossip => BackendSpec::gossip(nodes),
         }
     }
 }
@@ -369,86 +391,21 @@ impl Model {
     }
 }
 
-/// The backend under soak, driven directly (no executor in the loop — the
-/// op stream *is* the schedule).
-#[derive(Clone, Debug)]
-enum Driven {
-    Shm(SharedMemory),
-    Net(Box<AbdBackend>),
-    Gossip(Box<GossipBackend>),
-}
-
-impl Driven {
-    fn build(cfg: &SoakConfig, faults: &[NetFault]) -> Driven {
-        match cfg.backend {
-            SoakBackend::Shm => Driven::Shm(SharedMemory::new()),
-            SoakBackend::Net => {
-                let mut c = NetConfig::new(cfg.nodes, cfg.seed ^ 0x7e7);
-                c.durability = draw_durability(cfg.seed);
-                c.faults = faults.to_vec();
-                Driven::Net(Box::new(AbdBackend::new(c)))
-            }
-            SoakBackend::Gossip => {
-                let mut gc = GossipConfig::new(cfg.nodes, cfg.seed ^ 0x7e7);
-                gc.net.faults = faults.to_vec();
-                Driven::Gossip(Box::new(GossipBackend::new(gc)))
-            }
-        }
-    }
-
-    fn read(&mut self, me: Pid, now: u64, key: RegKey) -> Value {
-        match self {
-            Driven::Shm(m) => m.read(key),
-            Driven::Net(b) => b.read(me, now, key),
-            Driven::Gossip(g) => g.read(me, now, key),
-        }
-    }
-
-    fn write(&mut self, me: Pid, now: u64, key: RegKey, val: Value) {
-        match self {
-            Driven::Shm(m) => m.write(key, val),
-            Driven::Net(b) => b.write(me, now, key, val),
-            Driven::Gossip(g) => g.write(me, now, key, val),
-        }
-    }
-
-    /// The soak clock: backend ticks for net/gossip, ops for shm.
-    fn tick(&self, ops: u64) -> u64 {
-        match self {
-            Driven::Shm(_) => ops,
-            Driven::Net(b) => b.runtime().now(),
-            Driven::Gossip(g) => g.runtime().now(),
-        }
-    }
-
-    fn drain_degradations(&mut self) -> Vec<wfa_kernel::backend::Degradation> {
-        match self {
-            Driven::Shm(_) => Vec::new(),
-            Driven::Net(b) => b.drain_degradations(),
-            Driven::Gossip(g) => g.drain_degradations(),
-        }
-    }
-
-    fn drain_resolutions(&mut self) -> Vec<Resolution> {
-        match self {
-            Driven::Shm(_) => Vec::new(),
-            Driven::Net(b) => b.drain_resolutions(),
-            Driven::Gossip(g) => g.drain_resolutions(),
-        }
-    }
-
-    fn net_degraded(&self) -> bool {
-        matches!(self, Driven::Net(b) if b.is_degraded())
-    }
-}
-
 /// One checkpointable unit of soak state: the backend plus the oracle
 /// model plus the op counter. Cloning it *is* taking a checkpoint.
 #[derive(Clone, Debug)]
 struct SoakState {
-    driven: Driven,
+    backend: Box<dyn MemoryBackend>,
     model: Model,
     ops: u64,
+}
+
+impl SoakState {
+    /// The soak clock: the backend's network tick, or the op count on a
+    /// backend without a clock (shm: one op is one tick).
+    fn tick(&self) -> u64 {
+        self.backend.clock().unwrap_or(self.ops)
+    }
 }
 
 /// The soak register for key slot `kx`.
@@ -500,8 +457,8 @@ pub struct Recovery {
     pub resolve_tick: u64,
 }
 
-impl Recovery {
-    fn of(r: &Resolution) -> Recovery {
+impl From<&Resolution> for Recovery {
+    fn from(r: &Resolution) -> Recovery {
         Recovery {
             class: r.kind.name().to_string(),
             shard: r.shard,
@@ -509,7 +466,9 @@ impl Recovery {
             resolve_tick: r.resolve_tick,
         }
     }
+}
 
+impl Recovery {
     /// Ticks the spell lasted.
     pub fn ttr(&self) -> u64 {
         self.resolve_tick.saturating_sub(self.degrade_tick)
@@ -599,35 +558,18 @@ impl ReplayInfo {
 }
 
 /// The soak's complete, canonical result — also the replayable artifact
-/// (`faults soak --out` writes its JSON; `faults replay` re-executes it).
+/// (`faults soak --out` writes its JSON; `faults replay` re-executes it):
+/// the config, the timeline it ran and the verdict.
 #[derive(Clone, Debug)]
 pub struct SoakReport {
-    /// Config echo: backend name.
-    pub backend: String,
-    /// Config echo: tick horizon.
-    pub ticks: u64,
-    /// Config echo: seed.
-    pub seed: u64,
-    /// Config echo: intensity name.
-    pub intensity: String,
-    /// Config echo: checkpoint cadence.
-    pub checkpoint_every: u64,
-    /// Config echo: replica count.
-    pub nodes: usize,
-    /// Config echo: whether a bug was injected.
-    pub inject_bug: bool,
-    /// The net durability policy drawn from the seed (`-` off-net).
-    pub durability: String,
+    /// The config the soak ran under.
+    pub config: SoakConfig,
+    /// The explicit fault timeline (the artifact's source of truth).
+    pub timeline: Timeline,
     /// Ops the soak executed.
     pub ops: u64,
     /// The backend clock when the soak ended.
     pub final_tick: u64,
-    /// The explicit fault timeline (the artifact's source of truth).
-    pub faults: Vec<NetFault>,
-    /// Read-only freeze windows.
-    pub freezes: Vec<(u64, u64)>,
-    /// The shm injected-bug op, if any.
-    pub bug_op: Option<u64>,
     /// The oracle verdict (`None`: a clean soak).
     pub violation: Option<SoakViolation>,
     /// Every degradation spell that closed, in resolve order.
@@ -644,60 +586,38 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// The [`SoakConfig`] this report echoes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the unknown backend/intensity name.
-    pub fn config(&self) -> Result<SoakConfig, String> {
-        Ok(SoakConfig {
-            backend: SoakBackend::parse(&self.backend)
-                .ok_or_else(|| format!("soak artifact: unknown backend `{}`", self.backend))?,
-            ticks: self.ticks,
-            seed: self.seed,
-            intensity: Intensity::parse(&self.intensity)
-                .ok_or_else(|| format!("soak artifact: unknown intensity `{}`", self.intensity))?,
-            checkpoint_every: self.checkpoint_every,
-            nodes: self.nodes,
-            inject_bug: self.inject_bug,
-        })
-    }
-
-    /// The [`Timeline`] this report carries (what a replay re-executes).
-    pub fn timeline(&self) -> Timeline {
-        Timeline {
-            faults: self.faults.clone(),
-            freezes: self.freezes.clone(),
-            bug_op: self.bug_op,
-        }
-    }
-
     /// Serializes the report/artifact. Key order is fixed, so equal
-    /// reports are byte-identical.
+    /// reports are byte-identical. The net durability policy is not
+    /// stored: it is drawn from the seed here (`-` off-net).
     pub fn to_json(&self) -> Json {
+        let (cfg, tl) = (&self.config, &self.timeline);
+        let durability = match cfg.backend {
+            SoakBackend::Net => draw_durability(cfg.seed).name(),
+            _ => "-",
+        };
         Json::Obj(vec![
             ("command".into(), Json::Str("soak".into())),
-            ("backend".into(), Json::Str(self.backend.clone())),
-            ("ticks".into(), Json::Num(self.ticks)),
-            ("seed".into(), Json::Num(self.seed)),
-            ("intensity".into(), Json::Str(self.intensity.clone())),
-            ("checkpoint_every".into(), Json::Num(self.checkpoint_every)),
-            ("nodes".into(), Json::Num(self.nodes as u64)),
-            ("inject_bug".into(), Json::Bool(self.inject_bug)),
-            ("durability".into(), Json::Str(self.durability.clone())),
+            ("backend".into(), Json::Str(cfg.backend.name().into())),
+            ("ticks".into(), Json::Num(cfg.ticks)),
+            ("seed".into(), Json::Num(cfg.seed)),
+            ("intensity".into(), Json::Str(cfg.intensity.name().into())),
+            ("checkpoint_every".into(), Json::Num(cfg.checkpoint_every)),
+            ("nodes".into(), Json::Num(cfg.nodes as u64)),
+            ("inject_bug".into(), Json::Bool(cfg.inject_bug)),
+            ("durability".into(), Json::Str(durability.into())),
             ("ops".into(), Json::Num(self.ops)),
             ("final_tick".into(), Json::Num(self.final_tick)),
-            ("faults".into(), Json::Arr(self.faults.iter().map(NetFault::to_json).collect())),
+            ("faults".into(), Json::Arr(tl.faults.iter().map(NetFault::to_json).collect())),
             (
                 "freezes".into(),
                 Json::Arr(
-                    self.freezes
+                    tl.freezes
                         .iter()
                         .map(|(a, b)| Json::Arr(vec![Json::Num(*a), Json::Num(*b)]))
                         .collect(),
                 ),
             ),
-            ("bug_op".into(), self.bug_op.map_or(Json::Null, Json::Num)),
+            ("bug_op".into(), tl.bug_op.map_or(Json::Null, Json::Num)),
             ("violation".into(), self.violation.as_ref().map_or(Json::Null, SoakViolation::to_json)),
             ("recoveries".into(), Json::Arr(self.recoveries.iter().map(Recovery::to_json).collect())),
             (
@@ -725,7 +645,8 @@ impl SoakReport {
 
     /// Parses an artifact. Tolerant of legacy shapes: a missing
     /// `recoveries`/`mttr`/`replay` parses to empty (artifacts written
-    /// before the degradation lifecycle closed still load).
+    /// before the degradation lifecycle closed still load). The
+    /// `durability` field is ignored: it is a function of the seed.
     ///
     /// # Errors
     ///
@@ -733,8 +654,20 @@ impl SoakReport {
     pub fn from_json(v: &Json) -> Result<SoakReport, String> {
         let need_num =
             |k: &str| v.get(k).and_then(Json::num).ok_or_else(|| format!("soak artifact: missing {k}"));
-        let need_str = |k: &str| {
-            v.get(k).and_then(Json::str).map(str::to_string).ok_or_else(|| format!("soak artifact: missing {k}"))
+        let need_str =
+            |k: &str| v.get(k).and_then(Json::str).ok_or_else(|| format!("soak artifact: missing {k}"));
+        let backend = need_str("backend")?;
+        let intensity = need_str("intensity")?;
+        let config = SoakConfig {
+            backend: SoakBackend::parse(backend)
+                .ok_or_else(|| format!("soak artifact: unknown backend `{backend}`"))?,
+            ticks: need_num("ticks")?,
+            seed: need_num("seed")?,
+            intensity: Intensity::parse(intensity)
+                .ok_or_else(|| format!("soak artifact: unknown intensity `{intensity}`"))?,
+            checkpoint_every: v.get("checkpoint_every").and_then(Json::num).unwrap_or(0),
+            nodes: v.get("nodes").and_then(Json::num).unwrap_or(4) as usize,
+            inject_bug: v.get("inject_bug").and_then(Json::bool).unwrap_or(false),
         };
         let faults = match v.get("faults").and_then(Json::arr) {
             Some(xs) => xs.iter().map(NetFault::from_json).collect::<Result<Vec<_>, _>>()?,
@@ -771,24 +704,14 @@ impl SoakReport {
             Some(j) => Snapshot::from_json(j)?,
             None => Snapshot { counters: Vec::new(), hists: Vec::new() },
         };
-        let mttr = mttr_rows(&recoveries_ttr(&recoveries));
         Ok(SoakReport {
-            backend: need_str("backend")?,
-            ticks: need_num("ticks")?,
-            seed: need_num("seed")?,
-            intensity: need_str("intensity")?,
-            checkpoint_every: v.get("checkpoint_every").and_then(Json::num).unwrap_or(0),
-            nodes: v.get("nodes").and_then(Json::num).unwrap_or(4) as usize,
-            inject_bug: v.get("inject_bug").and_then(Json::bool).unwrap_or(false),
-            durability: v.get("durability").and_then(Json::str).unwrap_or("-").to_string(),
+            config,
+            timeline: Timeline { faults, freezes, bug_op: v.get("bug_op").and_then(Json::num) },
             ops: v.get("ops").and_then(Json::num).unwrap_or(0),
             final_tick: v.get("final_tick").and_then(Json::num).unwrap_or(0),
-            faults,
-            freezes,
-            bug_op: v.get("bug_op").and_then(Json::num),
             violation,
+            mttr: mttr_rows(&recoveries),
             recoveries,
-            mttr,
             checkpoints: v.get("checkpoints").and_then(Json::num).unwrap_or(0),
             replay,
             metrics,
@@ -799,13 +722,13 @@ impl SoakReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "[soak:{}] {} ops over {} ticks (target {}), seed {}, {} intensity, {} fault(s), {} checkpoint(s)\n",
-            self.backend,
+            self.config.backend.name(),
             self.ops,
             self.final_tick,
-            self.ticks,
-            self.seed,
-            self.intensity,
-            self.faults.len(),
+            self.config.ticks,
+            self.config.seed,
+            self.config.intensity.name(),
+            self.timeline.faults.len(),
             self.checkpoints,
         );
         match &self.violation {
@@ -843,17 +766,14 @@ impl SoakReport {
     }
 }
 
-fn recoveries_ttr(rows: &[Recovery]) -> Vec<(String, u64)> {
-    rows.iter().map(|r| (r.class.clone(), r.ttr())).collect()
-}
-
-fn mttr_rows(samples: &[(String, u64)]) -> Vec<MttrRow> {
+fn mttr_rows(rows: &[Recovery]) -> Vec<MttrRow> {
     let mut by_class: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
-    for (class, ttr) in samples {
-        let e = by_class.entry(class).or_insert((0, u64::MAX, 0, 0));
+    for r in rows {
+        let ttr = r.ttr();
+        let e = by_class.entry(&r.class).or_insert((0, u64::MAX, 0, 0));
         e.0 += 1;
-        e.1 = e.1.min(*ttr);
-        e.2 = e.2.max(*ttr);
+        e.1 = e.1.min(ttr);
+        e.2 = e.2.max(ttr);
         e.3 += ttr;
     }
     by_class
@@ -915,11 +835,11 @@ impl Engine<'_> {
     /// checkpointed clock replays them identically).
     fn step(&self, st: &mut SoakState, recoveries: &mut Vec<Resolution>) -> Result<(), SoakViolation> {
         let op = st.ops;
-        let tick = st.driven.tick(op);
+        let tick = st.tick();
         let frozen = self.tl.freezes.iter().any(|(a, b)| tick >= *a && tick < *b);
         let mut kx = (op % KEYS as u64) as usize;
         let mut write = op.is_multiple_of(3) && !frozen;
-        if matches!(st.driven, Driven::Gossip(_)) {
+        if self.cfg.backend == SoakBackend::Gossip {
             let n = self.cfg.nodes;
             if let Some(&(_, _, node)) =
                 self.crashes.iter().find(|w| tick < w.0 && w.0 <= tick + STALE_APPROACH)
@@ -956,13 +876,13 @@ impl Engine<'_> {
         let pid = Pid((op % self.cfg.nodes.max(1) as u64) as usize);
         if write {
             let val = Value::Int(op as i64 + 1);
-            st.driven.write(pid, op, key, val.clone());
+            st.backend.write(pid, op, key, val.clone());
             if self.tl.bug_op != Some(op) {
                 st.model.vals[kx] = val.clone();
             }
             st.model.seen[kx].push(val);
         } else {
-            let got = st.driven.read(pid, op, key);
+            let got = st.backend.read(pid, op, key);
             self.check_read(op, kx, &got, st)?;
         }
         st.ops += 1;
@@ -970,11 +890,11 @@ impl Engine<'_> {
     }
 
     fn check_read(&self, op: u64, kx: usize, got: &Value, st: &SoakState) -> Result<(), SoakViolation> {
-        match st.driven {
+        match self.cfg.backend {
             // Linearizable substrates must serve exactly the model (the
             // net backend's degraded fallback is the linearized view, so
             // equality holds straight through quorum-lost spells).
-            Driven::Shm(_) | Driven::Net(_) => {
+            SoakBackend::Shm | SoakBackend::Net => {
                 if *got != st.model.vals[kx] {
                     return Err(SoakViolation {
                         kind: "read-divergence".into(),
@@ -988,7 +908,7 @@ impl Engine<'_> {
             }
             // Gossip reads may lag, but only to values that were actually
             // written (or ⊥): anything else was fabricated.
-            Driven::Gossip(_) => {
+            SoakBackend::Gossip => {
                 if !got.is_unit() && !st.model.seen[kx].contains(got) {
                     return Err(SoakViolation {
                         kind: "fabricated-read".into(),
@@ -1002,7 +922,7 @@ impl Engine<'_> {
     }
 
     fn drain(&self, st: &mut SoakState, op: u64, recoveries: &mut Vec<Resolution>) -> Result<(), SoakViolation> {
-        for d in st.driven.drain_degradations() {
+        for d in st.backend.drain_degradations() {
             match d.kind {
                 // Stale advice is typed, recoverable service — its spell
                 // must close (checked at quiescence), but it is not a
@@ -1019,7 +939,7 @@ impl Engine<'_> {
                 }
             }
         }
-        recoveries.append(&mut st.driven.drain_resolutions());
+        recoveries.append(&mut st.backend.drain_resolutions());
         Ok(())
     }
 
@@ -1028,7 +948,12 @@ impl Engine<'_> {
     /// lifecycle (no spell may still be open).
     fn quiesce(&self, st: &mut SoakState, recoveries: &mut Vec<Resolution>) -> Result<(), SoakViolation> {
         let op = st.ops;
-        if let Driven::Gossip(g) = &mut st.driven {
+        if self.cfg.backend == SoakBackend::Gossip {
+            let g = st
+                .backend
+                .as_any_mut()
+                .and_then(|a| a.downcast_mut::<GossipBackend>())
+                .expect("a gossip soak drives a gossip backend");
             let budget = 3 * self.cfg.nodes as u64 + 8;
             if g.run_rounds_until_converged(budget).is_none() {
                 return Err(SoakViolation {
@@ -1048,7 +973,7 @@ impl Engine<'_> {
         // Read-back sweep: after quiescence every backend — gossip
         // included, now that it has converged — must serve the model.
         for kx in 0..KEYS {
-            let got = st.driven.read(Pid(0), op, reg_key(kx));
+            let got = st.backend.read(Pid(0), op, reg_key(kx));
             if got != st.model.vals[kx] {
                 return Err(SoakViolation {
                     kind: "read-divergence".into(),
@@ -1061,7 +986,7 @@ impl Engine<'_> {
             }
         }
         self.drain(st, op, recoveries)?;
-        if st.driven.net_degraded() {
+        if st.backend.is_degraded() {
             return Err(SoakViolation {
                 kind: "unresolved-degradation".into(),
                 op,
@@ -1083,7 +1008,7 @@ impl Engine<'_> {
         // Backstop against a backend whose clock stalls: the op stream is
         // bounded even if the tick horizon is never reached.
         let cap = self.cfg.ticks.saturating_mul(8).max(1_024);
-        while st.driven.tick(st.ops) < self.cfg.ticks && st.ops < cap {
+        while st.tick() < self.cfg.ticks && st.ops < cap {
             if let Some(r) = recorder.as_deref_mut() {
                 if self.cfg.checkpoint_every > 0 && st.ops.is_multiple_of(self.cfg.checkpoint_every)
                 {
@@ -1106,10 +1031,10 @@ impl Engine<'_> {
     fn certify(&self, checkpoints: &[(u64, SoakState)], v: &SoakViolation) -> Option<ReplayInfo> {
         let (from_op, snap) = checkpoints.last()?;
         let mut st = snap.clone();
-        let from_tick = st.driven.tick(st.ops);
+        let from_tick = st.tick();
         let mut sink = Vec::new();
         let got = self.run(&mut st, None, &mut sink);
-        let end_tick = st.driven.tick(st.ops);
+        let end_tick = st.tick();
         Some(ReplayInfo {
             from_op: *from_op,
             from_tick,
@@ -1127,7 +1052,8 @@ pub fn run_soak(cfg: &SoakConfig, tl: &Timeline) -> SoakReport {
     let obs = MetricsHandle::counters();
     let envelopes = expected_envelopes(&tl.faults, cfg.nodes);
     let engine = Engine { cfg, tl, envelopes, crashes: crash_spans(&tl.faults) };
-    let mut st = SoakState { driven: Driven::build(cfg, &tl.faults), model: Model::new(), ops: 0 };
+    let backend = cfg.backend.spec(cfg.nodes, cfg.seed).build(cfg.seed, &tl.faults);
+    let mut st = SoakState { backend, model: Model::new(), ops: 0 };
     let mut checkpoints: Vec<(u64, SoakState)> = Vec::new();
     let mut resolutions: Vec<Resolution> = Vec::new();
     let violation = {
@@ -1138,28 +1064,15 @@ pub fn run_soak(cfg: &SoakConfig, tl: &Timeline) -> SoakReport {
     };
     let checkpoints_taken = checkpoints.len() as u64;
     let replay = violation.as_ref().and_then(|v| engine.certify(&checkpoints, v));
-    let recoveries: Vec<Recovery> = resolutions.iter().map(Recovery::of).collect();
-    let mttr = mttr_rows(&recoveries_ttr(&recoveries));
+    let recoveries: Vec<Recovery> = resolutions.iter().map(Recovery::from).collect();
     SoakReport {
-        backend: cfg.backend.name().to_string(),
-        ticks: cfg.ticks,
-        seed: cfg.seed,
-        intensity: cfg.intensity.name().to_string(),
-        checkpoint_every: cfg.checkpoint_every,
-        nodes: cfg.nodes,
-        inject_bug: cfg.inject_bug,
-        durability: match cfg.backend {
-            SoakBackend::Net => draw_durability(cfg.seed).name().to_string(),
-            _ => "-".to_string(),
-        },
+        config: cfg.clone(),
+        timeline: tl.clone(),
         ops: st.ops,
-        final_tick: st.driven.tick(st.ops),
-        faults: tl.faults.clone(),
-        freezes: tl.freezes.clone(),
-        bug_op: tl.bug_op,
+        final_tick: st.tick(),
         violation,
+        mttr: mttr_rows(&recoveries),
         recoveries,
-        mttr,
         checkpoints: checkpoints_taken,
         replay,
         metrics: obs.snapshot().expect("metrics enabled"),
@@ -1193,8 +1106,7 @@ pub type SoakDiff = Vec<(String, String, String)>;
 /// Returns a description of the first malformed artifact field.
 pub fn replay_soak(artifact: &Json) -> Result<(SoakReport, SoakDiff), String> {
     let old = SoakReport::from_json(artifact)?;
-    let cfg = old.config()?;
-    let fresh = run_soak(&cfg, &old.timeline());
+    let fresh = run_soak(&old.config, &old.timeline);
     let mut diff = Vec::new();
     let mut field = |name: &str, a: String, b: String| {
         if a != b {
@@ -1255,72 +1167,47 @@ fn fault_windows(faults: &[NetFault]) -> Vec<Vec<usize>> {
     windows
 }
 
-/// Shrinks a violating soak artifact by greedily dropping whole fault
-/// windows (partition+heal and crash+recover pairs together, loss and
-/// corruption windows singly) and freeze windows, keeping each drop iff
-/// the re-soak still reaches the same violation kind. Returns the
-/// shrunken, replayable report and the number of re-soaks spent. A clean
-/// report is returned unchanged.
+/// Shrinks a violating soak artifact with `shrink::shrink_plan`, the
+/// greedy loop sweeps shrink with: first over whole fault windows
+/// (partition+heal and crash+recover pairs together, loss and corruption
+/// windows singly), then over freeze windows, keeping each drop iff the
+/// re-soak still reaches the same violation kind. Both passes share one
+/// budget of `MAX_SOAK_REPLAYS` re-soaks. Returns the shrunken, replayable
+/// report and the number of re-soaks spent. A clean report is returned
+/// unchanged.
 pub fn shrink_soak(report: &SoakReport) -> (SoakReport, usize) {
-    let Some(v0) = report.violation.clone() else {
+    let Some(v0) = &report.violation else {
         return (report.clone(), 0);
     };
-    let Ok(cfg) = report.config() else {
-        return (report.clone(), 0);
+    let still = |cand: &Timeline| {
+        let r = run_soak(&report.config, cand);
+        r.violation.as_ref().is_some_and(|v| v.kind == v0.kind).then_some(r)
     };
-    let mut best = report.clone();
-    let mut tl = report.timeline();
-    let mut used = 0;
-    let still_violates = |cand: &Timeline, used: &mut usize| -> Option<SoakReport> {
-        *used += 1;
-        let r = run_soak(&cfg, cand);
-        match &r.violation {
-            Some(v) if v.kind == v0.kind => Some(r),
-            _ => None,
-        }
+    let drop_windows = |tl: &Timeline| -> Vec<Timeline> {
+        fault_windows(&tl.faults)
+            .into_iter()
+            .map(|w| Timeline {
+                faults: (0..tl.faults.len())
+                    .filter(|i| !w.contains(i))
+                    .map(|i| tl.faults[i].clone())
+                    .collect(),
+                ..tl.clone()
+            })
+            .collect()
     };
-    // Fault windows first (the expensive components), then freezes.
-    let mut progressed = true;
-    while progressed && used < MAX_SOAK_REPLAYS {
-        progressed = false;
-        for w in fault_windows(&tl.faults) {
-            if used >= MAX_SOAK_REPLAYS {
-                break;
-            }
-            let mut cand = tl.clone();
-            let mut drop_ix: Vec<usize> = w.clone();
-            drop_ix.sort_unstable_by(|a, b| b.cmp(a));
-            for i in drop_ix {
-                cand.faults.remove(i);
-            }
-            if let Some(r) = still_violates(&cand, &mut used) {
-                tl = cand;
-                best = r;
-                progressed = true;
-                break;
-            }
-        }
-    }
-    while !tl.freezes.is_empty() && used < MAX_SOAK_REPLAYS {
-        let mut dropped = false;
-        for i in 0..tl.freezes.len() {
-            if used >= MAX_SOAK_REPLAYS {
-                break;
-            }
-            let mut cand = tl.clone();
-            cand.freezes.remove(i);
-            if let Some(r) = still_violates(&cand, &mut used) {
-                tl = cand;
-                best = r;
-                dropped = true;
-                break;
-            }
-        }
-        if !dropped {
-            break;
-        }
-    }
-    (best, used)
+    let drop_freezes = |tl: &Timeline| -> Vec<Timeline> {
+        (0..tl.freezes.len())
+            .map(|i| {
+                let mut cand = tl.clone();
+                cand.freezes.remove(i);
+                cand
+            })
+            .collect()
+    };
+    let mut tl = report.timeline.clone();
+    let (used, by_windows) = shrink_plan(&mut tl, MAX_SOAK_REPLAYS, drop_windows, &still);
+    let (more, by_freezes) = shrink_plan(&mut tl, MAX_SOAK_REPLAYS - used, drop_freezes, &still);
+    (by_freezes.or(by_windows).unwrap_or_else(|| report.clone()), used + more)
 }
 
 #[cfg(test)]
@@ -1415,6 +1302,26 @@ mod tests {
         let old = SoakReport::from_json(&legacy).unwrap();
         assert!(old.recoveries.is_empty());
         assert!(old.replay.is_none());
+    }
+
+    #[test]
+    fn an_unhealed_quorum_loss_is_an_unresolved_degradation() {
+        // A majority partition whose heal lies far past the horizon: every
+        // degradation falls inside its expected envelope, so only the
+        // lifecycle oracle can see that the spell never closed. It reads
+        // the open spell through the boxed backend's `is_degraded`.
+        let cfg = SoakConfig::new(SoakBackend::Net);
+        let tl = Timeline {
+            faults: vec![
+                NetFault::Partition { at: 1_800, nodes: vec![0, 1] },
+                NetFault::Heal { at: 1_000_000 },
+            ],
+            ..Timeline::default()
+        };
+        let r = run_soak(&cfg, &tl);
+        let v = r.violation.as_ref().expect("the spell is still open at the horizon");
+        assert_eq!((v.kind.as_str(), v.op), ("unresolved-degradation", 182));
+        assert!(r.replay.as_ref().is_some_and(|rep| rep.reproduced));
     }
 
     #[test]

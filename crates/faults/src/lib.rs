@@ -25,6 +25,9 @@
 //! deterministic, so a failed one is reported as a structured, replayable
 //! [`violation::Violation`] — JSON artifact in, exact re-execution out
 //! ([`run::replay`]) — after a greedy shrinking pass ([`shrink::shrink`]).
+//! A backend that degrades instead of serving (ABD quorum loss, stale
+//! gossip advice) yields one violation kind,
+//! [`violation::ViolationKind::Degraded`], tagged with its class.
 //! Panics inside a run are caught per job and become violations themselves;
 //! a sweep never dies half way. Each scenario names its register substrate
 //! with a [`backend::BackendSpec`], the one builder the CLI and the bench
@@ -35,7 +38,9 @@
 //! seeded stream of composed faults, with online oracles, a flight
 //! recorder of copy-on-write checkpoints backing violation replay, and
 //! per-fault-class MTTR aggregation of the degradation → resolution
-//! lifecycle ([`chaos::soak`]).
+//! lifecycle ([`chaos::soak`]). Soaks build their backend through the
+//! same [`backend::BackendSpec`] and shrink their fault timelines with
+//! the same greedy loop as sweeps shrink plans.
 
 pub mod backend;
 pub mod chaos;

@@ -23,7 +23,7 @@ use wfa_obs::metrics::{HistKind, MetricsHandle};
 use crate::fdwrap::FaultyFdGen;
 use crate::plan::FaultPlan;
 use crate::scenario::Scenario;
-use crate::violation::{Violation, ViolationKind};
+use crate::violation::{answered_label, Violation, ViolationKind};
 
 /// Everything one plan evaluation produced.
 #[derive(Clone, Debug)]
@@ -140,21 +140,13 @@ pub fn run_plan_observed(
     // every later one is the same degraded spell re-probing (a long run
     // would otherwise drown the report).
     if let Some(d) = run.executor.degradations().first() {
-        violations.push(mk(match d.kind {
-            DegradationKind::QuorumLost => ViolationKind::QuorumLost {
-                op: d.op.clone(),
-                tick: d.tick,
-                answered: d.answered,
-                needed: d.needed,
-                shard: d.shard,
-            },
-            DegradationKind::AdviceStale => ViolationKind::AdviceStale {
-                op: d.op.clone(),
-                tick: d.tick,
-                answered: d.answered,
-                needed: d.needed,
-                shard: d.shard,
-            },
+        violations.push(mk(ViolationKind::Degraded {
+            class: d.kind,
+            op: d.op.clone(),
+            tick: d.tick,
+            answered: d.answered,
+            needed: d.needed,
+            shard: d.shard,
         }));
     }
     if let Err(e) = report.validate() {
@@ -195,10 +187,8 @@ pub struct ReplayVerdict {
 /// * `Safety` — re-runs the stored schedule and re-validates Δ.
 /// * `WaitFreedom` — re-runs the full plan (schedules below the budget
 ///   starve trivially, so the stored schedule alone cannot certify it).
-/// * `QuorumLost` — re-runs the full plan and matches the first raised
-///   degradation's `(op, tick)`.
-/// * `AdviceStale` — same discipline as `QuorumLost`: re-runs the full plan
-///   and matches the first stale-advice report's `(op, tick)`.
+/// * `Degraded` — re-runs the full plan and matches the first raised
+///   degradation's `(class, op, tick)`.
 /// * `Panic` — re-runs the full plan under `catch_unwind`.
 ///
 /// # Errors
@@ -237,49 +227,31 @@ pub fn replay(v: &Violation) -> Result<ReplayVerdict, String> {
                 },
             }
         }
-        ViolationKind::QuorumLost { op, tick, .. } => {
+        ViolationKind::Degraded { class, op, tick, .. } => {
             let outcome = run_plan(&sc, &v.plan, v.seed);
             let hit = outcome.violations.iter().find_map(|w| match &w.kind {
-                ViolationKind::QuorumLost { op: o, tick: t, answered, needed, .. }
-                    if o == op && t == tick =>
+                ViolationKind::Degraded { class: c, op: o, tick: t, answered, needed, .. }
+                    if c == class && o == op && t == tick =>
                 {
                     Some((*answered, *needed))
                 }
                 _ => None,
             });
+            let (again, loss) = match class {
+                DegradationKind::QuorumLost => ("quorum lost", "quorum loss"),
+                DegradationKind::AdviceStale => ("advice stale", "staleness"),
+            };
             match hit {
                 Some((answered, needed)) => ReplayVerdict {
                     reproduced: true,
                     detail: format!(
-                        "quorum lost again: op={op} tick={tick} answered={answered}/{needed}"
+                        "{again} again: op={op} tick={tick} {}={answered}/{needed}",
+                        answered_label(*class)
                     ),
                 },
                 None => ReplayVerdict {
                     reproduced: false,
-                    detail: format!("no {op} quorum loss at tick {tick} this time"),
-                },
-            }
-        }
-        ViolationKind::AdviceStale { op, tick, .. } => {
-            let outcome = run_plan(&sc, &v.plan, v.seed);
-            let hit = outcome.violations.iter().find_map(|w| match &w.kind {
-                ViolationKind::AdviceStale { op: o, tick: t, answered, needed, .. }
-                    if o == op && t == tick =>
-                {
-                    Some((*answered, *needed))
-                }
-                _ => None,
-            });
-            match hit {
-                Some((answered, needed)) => ReplayVerdict {
-                    reproduced: true,
-                    detail: format!(
-                        "advice stale again: op={op} tick={tick} dry={answered}/{needed}"
-                    ),
-                },
-                None => ReplayVerdict {
-                    reproduced: false,
-                    detail: format!("no {op} staleness at tick {tick} this time"),
+                    detail: format!("no {op} {loss} at tick {tick} this time"),
                 },
             }
         }
@@ -311,6 +283,10 @@ pub fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::backend::BackendSpec;
+
+    fn quorum_lost(kind: &ViolationKind) -> bool {
+        matches!(kind, ViolationKind::Degraded { class: DegradationKind::QuorumLost, .. })
+    }
 
     #[test]
     fn clean_plans_pass_canonical_scenarios() {
@@ -432,18 +408,14 @@ mod tests {
                 // loss is monotone in message loss — the periodic knob can
                 // push a plan-marginal quorum past the horizon (an *extra*
                 // degradation) but can never make one disappear.
-                let lost = |o: &PlanOutcome| {
-                    o.violations
-                        .iter()
-                        .any(|v| matches!(v.kind, ViolationKind::QuorumLost { .. }))
-                };
+                let lost = |o: &PlanOutcome| o.violations.iter().any(|v| quorum_lost(&v.kind));
                 if lost(&a) {
                     assert!(lost(&b), "{}", plan.describe());
                 }
                 let rest = |o: &PlanOutcome| {
                     o.violations
                         .iter()
-                        .filter(|v| !matches!(v.kind, ViolationKind::QuorumLost { .. }))
+                        .filter(|v| !quorum_lost(&v.kind))
                         .map(|v| v.kind.clone())
                         .collect::<Vec<_>>()
                 };
@@ -490,10 +462,10 @@ mod tests {
         let v = outcome
             .violations
             .iter()
-            .find(|w| matches!(w.kind, ViolationKind::QuorumLost { .. }))
+            .find(|w| quorum_lost(&w.kind))
             .expect("quorum ops must degrade under a majority-breaking partition")
             .clone();
-        let ViolationKind::QuorumLost { shard, .. } = &v.kind else {
+        let ViolationKind::Degraded { shard, .. } = &v.kind else {
             unreachable!();
         };
         assert!(
@@ -520,11 +492,11 @@ mod tests {
         let v = outcome
             .violations
             .iter()
-            .find(|w| matches!(w.kind, ViolationKind::QuorumLost { .. }))
+            .find(|w| quorum_lost(&w.kind))
             .expect("quorum ops must degrade under a majority-breaking partition")
             .clone();
         match &v.kind {
-            ViolationKind::QuorumLost { op, answered, needed, .. } => {
+            ViolationKind::Degraded { op, answered, needed, .. } => {
                 assert_eq!(op, "write", "the first stranded quorum op is a register write");
                 assert_eq!((*answered, *needed), (1, 2), "only the minority side answered");
             }
@@ -611,11 +583,13 @@ mod tests {
         let v = outcome
             .violations
             .iter()
-            .find(|w| matches!(w.kind, ViolationKind::AdviceStale { .. }))
+            .find(|w| {
+                matches!(w.kind, ViolationKind::Degraded { class: DegradationKind::AdviceStale, .. })
+            })
             .expect("an unhealed partition must starve some home past the horizon")
             .clone();
         match &v.kind {
-            ViolationKind::AdviceStale { op, answered, needed, .. } => {
+            ViolationKind::Degraded { op, answered, needed, .. } => {
                 assert_eq!(op, "read");
                 assert!(answered > needed, "dry rounds beyond the horizon: {}", v.kind);
             }

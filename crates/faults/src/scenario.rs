@@ -271,7 +271,7 @@ impl Scenario {
     /// [`Scenario::ksa_net`] with the register space sharded over two
     /// independent 3-replica groups. Keys route by `RegKey::shard_index`;
     /// each group runs its own quorum, so degradations are group-local and
-    /// the resulting `QuorumLost` violations carry the group's shard tag.
+    /// the resulting quorum-lost violations carry the group's shard tag.
     pub fn ksa_net_shard() -> Scenario {
         let mut sc = Scenario::ksa_net();
         sc.name = "ksa-net-shard".into();

@@ -9,21 +9,25 @@
 //! deterministic replay, so a shrunk artifact is *still a real run*, never
 //! an approximation.
 //!
-//! Every other kind shrinks its *plan* with one greedy loop: drop one plan
-//! component, re-run, and keep the drop if the run still shows the
-//! violation. What "still shows" means is the kind's predicate:
+//! Every other kind shrinks its *plan* with one greedy loop,
+//! `shrink_plan`: drop one plan component, re-run, and keep the drop if
+//! the run still shows the violation. Soak artifacts shrink their fault
+//! timelines with the same loop ([`crate::chaos::shrink_soak`]). What
+//! "still shows" means is the kind's predicate:
 //!
 //! * wait-freedom — the same process still starves under a plan that
 //!   restores advice (any truncated schedule starves trivially, so the
 //!   schedule cannot be shrunk); the schedule is re-recorded;
-//! * quorum loss / stale advice — the run still raises that degradation;
-//!   its `(op, tick)` and schedule are refreshed from the final plan so the
-//!   artifact replays against what it stores;
+//! * degradation (quorum loss or stale advice) — the run still raises a
+//!   degradation of the same class; its `(op, tick)` and schedule are
+//!   refreshed from the final plan so the artifact replays against what it
+//!   stores;
 //! * panic — the run still panics under `catch_unwind`, the same criterion
 //!   [`crate::run::replay`] certifies; the payload is re-recorded.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use wfa_kernel::backend::DegradationKind;
 use wfa_kernel::value::Pid;
 
 use crate::plan::FaultPlan;
@@ -44,8 +48,7 @@ pub fn shrink(v: &mut Violation) -> usize {
         ViolationKind::Safety { reason } => shrink_schedule(&sc, v, &reason),
         ViolationKind::WaitFreedom { process, .. } => shrink_starvation(&sc, v, process),
         ViolationKind::Panic { .. } => shrink_panic(&sc, v),
-        ViolationKind::QuorumLost { .. } => shrink_degradation(&sc, v, false),
-        ViolationKind::AdviceStale { .. } => shrink_degradation(&sc, v, true),
+        ViolationKind::Degraded { class, .. } => shrink_degradation(&sc, v, class),
     }
 }
 
@@ -115,30 +118,37 @@ fn single_drops(plan: &FaultPlan) -> Vec<FaultPlan> {
     drops
 }
 
-/// The greedy plan shrinker: keeps the first single-component drop after
-/// which `still` re-observes the violation, and restarts from the smaller
-/// plan until no drop keeps it or the replay budget is spent. Each call of
-/// `still` is one replay. Returns the replays spent and what `still`
-/// reported for the final plan (`None` if nothing could be dropped).
-fn shrink_plan<T>(
-    plan: &mut FaultPlan,
-    mut still: impl FnMut(&FaultPlan) -> Option<T>,
+/// The greedy shrinker: tries the smaller candidates `drops` proposes for
+/// `plan` in order, keeps the first one after which `still` re-observes the
+/// violation, and restarts from it until no candidate keeps it or `budget`
+/// replays are spent (checked before each replay). Each call of `still` is
+/// one replay. Returns the replays spent and what `still` reported for the
+/// final plan (`None` if nothing could be dropped).
+pub(crate) fn shrink_plan<P, T>(
+    plan: &mut P,
+    budget: usize,
+    drops: impl Fn(&P) -> Vec<P>,
+    mut still: impl FnMut(&P) -> Option<T>,
 ) -> (usize, Option<T>) {
     let mut replays = 0;
     let mut last = None;
     loop {
-        let hit = single_drops(plan).into_iter().find_map(|candidate| {
+        let mut hit = None;
+        for candidate in drops(plan) {
+            if replays >= budget {
+                break;
+            }
             replays += 1;
-            still(&candidate).map(|w| (candidate, w))
-        });
+            if let Some(w) = still(&candidate) {
+                hit = Some((candidate, w));
+                break;
+            }
+        }
         let Some((smaller, w)) = hit else {
             return (replays, last);
         };
         *plan = smaller;
         last = Some(w);
-        if replays >= MAX_REPLAYS {
-            return (replays, last);
-        }
     }
 }
 
@@ -146,7 +156,7 @@ fn shrink_plan<T>(
 /// starves `process` and re-recording the schedule from the final plan.
 fn shrink_starvation(sc: &Scenario, v: &mut Violation, process: usize) -> usize {
     let seed = v.seed;
-    let (replays, schedule) = shrink_plan(&mut v.plan, |plan| {
+    let (replays, schedule) = shrink_plan(&mut v.plan, MAX_REPLAYS, single_drops, |plan| {
         // Only plans that restore advice can certify starvation. A drop that
         // flips the run into a *panic* (e.g. removing the heal that kept a
         // partition majority-safe) is a different violation, not a smaller
@@ -175,7 +185,7 @@ fn shrink_starvation(sc: &Scenario, v: &mut Violation, process: usize) -> usize 
 /// the panic it actually replays.
 fn shrink_panic(sc: &Scenario, v: &mut Violation) -> usize {
     let seed = v.seed;
-    let (replays, payload) = shrink_plan(&mut v.plan, |plan| {
+    let (replays, payload) = shrink_plan(&mut v.plan, MAX_REPLAYS, single_drops, |plan| {
         catch_unwind(AssertUnwindSafe(|| run_plan(sc, plan, seed)))
             .err()
             .map(|payload| payload_string(payload.as_ref()))
@@ -187,19 +197,17 @@ fn shrink_panic(sc: &Scenario, v: &mut Violation) -> usize {
 }
 
 /// Shrinks a degradation's plan, keeping each drop after which the run
-/// still degrades — a stranded quorum op (`stale = false`) or a
-/// stale-advice report (`stale = true`). The recorded kind and schedule are
-/// refreshed from the final plan (dropping an unrelated fault can shift the
-/// tick the horizon expires at).
-fn shrink_degradation(sc: &Scenario, v: &mut Violation, stale: bool) -> usize {
+/// still raises a degradation of the same `class` — a stranded quorum op
+/// or a stale-advice report. The recorded kind and schedule are refreshed
+/// from the final plan (dropping an unrelated fault can shift the tick the
+/// horizon expires at).
+fn shrink_degradation(sc: &Scenario, v: &mut Violation, class: DegradationKind) -> usize {
     let seed = v.seed;
-    let (replays, hit) = shrink_plan(&mut v.plan, |plan| {
+    let (replays, hit) = shrink_plan(&mut v.plan, MAX_REPLAYS, single_drops, |plan| {
         let outcome = run_plan(sc, plan, seed);
-        let kind = outcome.violations.into_iter().map(|w| w.kind).find(|k| match k {
-            ViolationKind::QuorumLost { .. } => !stale,
-            ViolationKind::AdviceStale { .. } => stale,
-            _ => false,
-        })?;
+        let kind = outcome.violations.into_iter().map(|w| w.kind).find(
+            |k| matches!(k, ViolationKind::Degraded { class: c, .. } if *c == class),
+        )?;
         Some((kind, outcome.schedule))
     });
     if let Some((kind, schedule)) = hit {
@@ -280,7 +288,9 @@ mod tests {
         let mut v = outcome
             .violations
             .into_iter()
-            .find(|w| matches!(w.kind, ViolationKind::QuorumLost { .. }))
+            .find(|w| {
+                matches!(w.kind, ViolationKind::Degraded { class: DegradationKind::QuorumLost, .. })
+            })
             .expect("majority-breaking partition must degrade a quorum op");
         let replays = shrink(&mut v);
         assert!(replays > 0);
@@ -288,12 +298,37 @@ mod tests {
         assert!(v.plan.fd_faults.is_empty(), "irrelevant loss survived: {}", v.plan.describe());
         assert_eq!(v.plan.net_faults.len(), 1, "{}", v.plan.describe());
         assert!(
-            matches!(v.kind, ViolationKind::QuorumLost { .. }),
+            matches!(v.kind, ViolationKind::Degraded { class: DegradationKind::QuorumLost, .. }),
             "shrink changed the kind: {}",
             v.kind
         );
         let verdict = replay(&v).unwrap();
         assert!(verdict.reproduced, "{}", verdict.detail);
+    }
+
+    #[test]
+    fn advice_stale_shrink_drops_irrelevant_faults() {
+        // The partition and the crash strand replica 0's deltas and starve
+        // its keys past the staleness horizon; the drop window riding along
+        // has nothing to do with it and must be shrunk away, leaving an
+        // advice-stale artifact that still replays.
+        let sc = Scenario::ksa_net_gossip();
+        let plan = FaultPlan::clean().partition(vec![0], 0).crash_replica(0, 400).drop_link(2, 0, 10);
+        let stale = |k: &ViolationKind| {
+            matches!(k, ViolationKind::Degraded { class: DegradationKind::AdviceStale, .. })
+        };
+        let mut v = run_plan(&sc, &plan, 3)
+            .violations
+            .into_iter()
+            .find(|w| stale(&w.kind))
+            .expect("an unhealed partition plus a crash must starve a home");
+        let replays = shrink(&mut v);
+        assert_eq!(replays, 5);
+        assert_eq!(v.plan, FaultPlan::clean().partition(vec![0], 0).crash_replica(0, 400));
+        assert!(stale(&v.kind), "shrink changed the kind: {}", v.kind);
+        let verdict = replay(&v).unwrap();
+        assert!(verdict.reproduced, "{}", verdict.detail);
+        assert_eq!(verdict.detail, "advice stale again: op=read tick=550 dry=13/4");
     }
 
     /// A party that publishes, then panics once it has found party 0's slot

@@ -6,6 +6,7 @@
 //! self-contained — `Violation::from_json` plus [`crate::run::replay`]
 //! re-executes the exact run from nothing but the JSON text.
 
+use wfa_kernel::backend::DegradationKind;
 use wfa_kernel::value::Pid;
 
 use crate::json::Json;
@@ -33,40 +34,45 @@ pub enum ViolationKind {
         /// The panic payload, stringified.
         payload: String,
     },
-    /// A quorum operation exhausted its retransmission horizon — the net
-    /// backend degraded instead of completing the op (the adversary broke
-    /// the ABD majority assumption for too long).
-    QuorumLost {
-        /// The stranded protocol phase (`read`, `write-store`, …).
+    /// A backend degraded instead of serving its failure model's promise,
+    /// and the run kept going on the weaker service; the sweep surfaces
+    /// the first such report. Two classes exist:
+    ///
+    /// * `quorum-lost` — a quorum operation exhausted its retransmission
+    ///   horizon (the adversary broke the ABD majority assumption for too
+    ///   long);
+    /// * `advice-stale` — a gossip read served advice older than the
+    ///   global join while its replica had gone past the staleness horizon
+    ///   without a completed anti-entropy exchange. Advice is stale, never
+    ///   wrong.
+    Degraded {
+        /// Which degradation class the backend raised.
+        class: DegradationKind,
+        /// The degraded protocol phase (`read`, `write-store`, …).
         op: String,
         /// The network tick at which the horizon expired.
         tick: u64,
-        /// Replicas that answered the final round.
+        /// Replicas that answered the final round (quorum loss), or
+        /// anti-entropy rounds the serving replica had gone dry (stale
+        /// advice).
         answered: usize,
-        /// The quorum size that was required.
+        /// The quorum size that was required, or the staleness horizon
+        /// that was exceeded.
         needed: usize,
-        /// The replica group (shard) that lost its quorum — `0` for
-        /// unsharded backends; under a sharded backend only this group's
-        /// key range degraded.
+        /// The replica group (shard) that degraded — `0` for unsharded
+        /// backends; under a sharded backend only this group's key range
+        /// degraded.
         shard: usize,
     },
-    /// A gossip-backed read served advice older than the global join while
-    /// its replica had gone past the staleness horizon without a completed
-    /// anti-entropy exchange (the adversary starved the replica for too
-    /// long). Advice is stale, never wrong — the run keeps going; the sweep
-    /// surfaces the first such report.
-    AdviceStale {
-        /// The degraded operation (always `read` today).
-        op: String,
-        /// The network tick of the stale read.
-        tick: u64,
-        /// Anti-entropy rounds the serving replica had gone dry.
-        answered: usize,
-        /// The configured staleness horizon it exceeded.
-        needed: usize,
-        /// The replica group (shard) of the serving replica.
-        shard: usize,
-    },
+}
+
+/// What a degradation class's `answered` field counts: replies for quorum
+/// loss, dry anti-entropy rounds for stale advice.
+pub(crate) fn answered_label(class: DegradationKind) -> &'static str {
+    match class {
+        DegradationKind::QuorumLost => "answered",
+        DegradationKind::AdviceStale => "dry",
+    }
 }
 
 impl std::fmt::Display for ViolationKind {
@@ -77,18 +83,12 @@ impl std::fmt::Display for ViolationKind {
                 write!(f, "wait-freedom: C{process} starved after {steps} steps")
             }
             ViolationKind::Panic { payload } => write!(f, "panic: {payload}"),
-            ViolationKind::QuorumLost { op, tick, answered, needed, shard } => {
-                write!(
-                    f,
-                    "quorum-lost: op={op} tick={tick} answered={answered}/{needed} shard={shard}"
-                )
-            }
-            ViolationKind::AdviceStale { op, tick, answered, needed, shard } => {
-                write!(
-                    f,
-                    "advice-stale: op={op} tick={tick} dry={answered}/{needed} shard={shard}"
-                )
-            }
+            ViolationKind::Degraded { class, op, tick, answered, needed, shard } => write!(
+                f,
+                "{}: op={op} tick={tick} {}={answered}/{needed} shard={shard}",
+                class.name(),
+                answered_label(*class)
+            ),
         }
     }
 }
@@ -133,16 +133,8 @@ impl Violation {
                 ("type".into(), Json::Str("panic".into())),
                 ("payload".into(), Json::Str(payload.clone())),
             ]),
-            ViolationKind::QuorumLost { op, tick, answered, needed, shard } => Json::Obj(vec![
-                ("type".into(), Json::Str("quorum-lost".into())),
-                ("op".into(), Json::Str(op.clone())),
-                ("tick".into(), Json::Num(*tick)),
-                ("answered".into(), Json::Num(*answered as u64)),
-                ("needed".into(), Json::Num(*needed as u64)),
-                ("shard".into(), Json::Num(*shard as u64)),
-            ]),
-            ViolationKind::AdviceStale { op, tick, answered, needed, shard } => Json::Obj(vec![
-                ("type".into(), Json::Str("advice-stale".into())),
+            ViolationKind::Degraded { class, op, tick, answered, needed, shard } => Json::Obj(vec![
+                ("type".into(), Json::Str(class.name().into())),
                 ("op".into(), Json::Str(op.clone())),
                 ("tick".into(), Json::Num(*tick)),
                 ("answered".into(), Json::Num(*answered as u64)),
@@ -192,7 +184,12 @@ impl Violation {
                     .ok_or("violation: missing payload")?
                     .to_string(),
             },
-            Some("quorum-lost") => ViolationKind::QuorumLost {
+            Some(name @ ("quorum-lost" | "advice-stale")) => ViolationKind::Degraded {
+                class: if name == "quorum-lost" {
+                    DegradationKind::QuorumLost
+                } else {
+                    DegradationKind::AdviceStale
+                },
                 op: kind_obj
                     .get("op")
                     .and_then(Json::str)
@@ -205,20 +202,6 @@ impl Violation {
                     .and_then(Json::num)
                     .ok_or("violation: missing needed")? as usize,
                 // Pre-shard artifacts lack the field; they were unsharded.
-                shard: kind_obj.get("shard").and_then(Json::num).unwrap_or(0) as usize,
-            },
-            Some("advice-stale") => ViolationKind::AdviceStale {
-                op: kind_obj
-                    .get("op")
-                    .and_then(Json::str)
-                    .ok_or("violation: missing op")?
-                    .to_string(),
-                tick: kind_obj.get("tick").and_then(Json::num).ok_or("violation: missing tick")?,
-                answered: kind_obj.get("answered").and_then(Json::num).unwrap_or(0) as usize,
-                needed: kind_obj
-                    .get("needed")
-                    .and_then(Json::num)
-                    .ok_or("violation: missing needed")? as usize,
                 shard: kind_obj.get("shard").and_then(Json::num).unwrap_or(0) as usize,
             },
             other => return Err(format!("violation: unknown kind {other:?}")),
@@ -285,14 +268,16 @@ mod tests {
             ViolationKind::Safety { reason: "split \"brain\"".into() },
             ViolationKind::WaitFreedom { process: 2, steps: 17 },
             ViolationKind::Panic { payload: "index out of bounds".into() },
-            ViolationKind::QuorumLost {
+            ViolationKind::Degraded {
+                class: DegradationKind::QuorumLost,
                 op: "write-store".into(),
                 tick: 72,
                 answered: 1,
                 needed: 2,
                 shard: 3,
             },
-            ViolationKind::AdviceStale {
+            ViolationKind::Degraded {
+                class: DegradationKind::AdviceStale,
                 op: "read".into(),
                 tick: 144,
                 answered: 7,
@@ -310,7 +295,8 @@ mod tests {
     #[test]
     fn legacy_quorum_lost_artifacts_parse_as_unsharded() {
         let mut v = sample();
-        v.kind = ViolationKind::QuorumLost {
+        v.kind = ViolationKind::Degraded {
+            class: DegradationKind::QuorumLost,
             op: "read".into(),
             tick: 9,
             answered: 1,
@@ -322,6 +308,47 @@ mod tests {
         let text = v.to_json().to_string().replace(",\"shard\":0", "");
         assert!(!text.contains("shard"), "field not stripped: {text}");
         assert_eq!(Violation::from_json(&Json::parse(&text).unwrap()).unwrap(), v);
+    }
+
+    #[test]
+    fn degradation_json_bytes_are_pinned() {
+        // Both classes share one variant; their artifacts must keep the
+        // per-class `type` tag and the same keys in the same order.
+        let mut v = Violation {
+            scenario: "ksa-net".into(),
+            seed: 3,
+            plan: FaultPlan::clean().partition(vec![0, 1], 0),
+            kind: ViolationKind::Degraded {
+                class: DegradationKind::QuorumLost,
+                op: "write-store".into(),
+                tick: 72,
+                answered: 1,
+                needed: 2,
+                shard: 3,
+            },
+            schedule: vec![0, 1, 2],
+            original_len: 9,
+        };
+        assert_eq!(
+            v.to_json().to_string(),
+            r#"{"scenario":"ksa-net","seed":3,"kind":{"type":"quorum-lost","op":"write-store","tick":72,"answered":1,"needed":2,"shard":3},"plan":{"crashes":[],"stops":[],"fd_faults":[],"advice_delay":0,"clear_after":null,"net_faults":[{"type":"partition","at":0,"nodes":[0,1]}]},"schedule":[0,1,2],"original_len":9}"#
+        );
+        assert_eq!(v.kind.to_string(), "quorum-lost: op=write-store tick=72 answered=1/2 shard=3");
+        v.scenario = "ksa-net-gossip".into();
+        v.plan = FaultPlan::clean().partition(vec![0], 0).crash_replica(0, 400);
+        v.kind = ViolationKind::Degraded {
+            class: DegradationKind::AdviceStale,
+            op: "read".into(),
+            tick: 144,
+            answered: 7,
+            needed: 4,
+            shard: 0,
+        };
+        assert_eq!(
+            v.to_json().to_string(),
+            r#"{"scenario":"ksa-net-gossip","seed":3,"kind":{"type":"advice-stale","op":"read","tick":144,"answered":7,"needed":4,"shard":0},"plan":{"crashes":[],"stops":[],"fd_faults":[],"advice_delay":0,"clear_after":null,"net_faults":[{"type":"partition","at":0,"nodes":[0]},{"type":"crash-replica","at":400,"node":0}]},"schedule":[0,1,2],"original_len":9}"#
+        );
+        assert_eq!(v.kind.to_string(), "advice-stale: op=read tick=144 dry=7/4 shard=0");
     }
 
     #[test]

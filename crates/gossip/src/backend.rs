@@ -614,6 +614,10 @@ impl MemoryBackend for GossipBackend {
         std::mem::take(&mut self.resolved)
     }
 
+    fn clock(&self) -> Option<u64> {
+        Some(self.net.now())
+    }
+
     fn fingerprint(&self, mut h: &mut dyn Hasher) {
         self.view.fingerprint(&mut h);
         self.net.hash(&mut h);

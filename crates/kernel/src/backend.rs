@@ -222,9 +222,26 @@ pub trait MemoryBackend: Send + Sync {
         Vec::new()
     }
 
+    /// The backend's own clock (its network tick), for harnesses that pace
+    /// an op stream by backend time. `None` — the default — means the
+    /// backend has no clock; the caller counts ops instead.
+    fn clock(&self) -> Option<u64> {
+        None
+    }
+
+    /// Whether a degraded spell is open right now: a degradation was
+    /// drained and its resolution has not happened yet. Backends that never
+    /// degrade, or that close each spell within the op that raised it,
+    /// return `false` (the default).
+    fn is_degraded(&self) -> bool {
+        false
+    }
+
     /// Concrete-type escape hatch for backends that expose run oracles
-    /// beyond the register interface (the gossip backend's convergence and
-    /// causal-delivery checks). `None` — the default — means the backend
+    /// beyond the register interface. Its remaining callers are the chaos
+    /// soak's gossip quiescence oracles (convergence and causal replay),
+    /// a gossip unit test, and the benchmark's timing decorator, which reads
+    /// gossip rounds through it. `None` — the default — means the backend
     /// has no such surface; harnesses must treat it as opaque.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None

@@ -217,12 +217,6 @@ impl AbdBackend {
         &self.net
     }
 
-    /// Whether the backend is currently in a quorum-lost spell (the
-    /// circuit breaker is open).
-    pub fn is_degraded(&self) -> bool {
-        self.breaker.is_open()
-    }
-
     /// Applies every crash/recover event at or before tick `upto` and
     /// retries outstanding re-sync pulls. Called between an operation's
     /// retransmission rounds — a recovery landing while an op is stalled
@@ -533,6 +527,15 @@ impl MemoryBackend for AbdBackend {
 
     fn drain_resolutions(&mut self) -> Vec<Resolution> {
         std::mem::take(&mut self.resolved)
+    }
+
+    fn clock(&self) -> Option<u64> {
+        Some(self.net.now())
+    }
+
+    /// Whether a quorum-lost spell is open (the circuit breaker is open).
+    fn is_degraded(&self) -> bool {
+        self.breaker.is_open()
     }
 
     fn fingerprint(&self, mut h: &mut dyn Hasher) {

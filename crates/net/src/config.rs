@@ -242,9 +242,9 @@ impl Durability {
 /// only when a serving majority of peers is reachable for that re-sync.
 ///
 /// The check is an *advisory classifier*, not a soundness gate: a
-/// misclassified plan degrades to a typed, replayable `QuorumLost`
-/// violation instead of anything worse, and CI fails on any `QuorumLost`
-/// in a plan this predicate accepted.
+/// misclassified plan degrades to a typed, replayable quorum-lost
+/// violation instead of anything worse, and CI fails on any quorum-lost
+/// violation in a plan this predicate accepted.
 pub fn majority_safe(faults: &[NetFault], nodes: usize) -> bool {
     let mut cfg = NetConfig::new(nodes, 0);
     cfg.faults = faults.to_vec();

@@ -21,6 +21,7 @@
 use wfa::algorithms::renaming::RenamingFig4;
 use wfa::faults::prelude::{FaultPlan, Json, Scenario, Violation, ViolationKind};
 use wfa::faults::run::{run_plan, run_plan_observed};
+use wfa::kernel::backend::DegradationKind;
 use wfa::kernel::executor::Executor;
 use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv};
 use wfa::kernel::value::{Pid, Value};
@@ -170,7 +171,10 @@ fn e17_unknown_fault_artifacts_refuse_to_replay() {
     let good = v.to_json().to_string();
     let parse = |text: &str| Json::parse(text).map_err(|e| e.to_string()).and_then(|j| Violation::from_json(&j));
     let roundtrip = parse(&good).expect("own artifacts replay");
-    assert!(matches!(roundtrip.kind, ViolationKind::QuorumLost { .. }));
+    assert!(matches!(
+        roundtrip.kind,
+        ViolationKind::Degraded { class: DegradationKind::QuorumLost, .. }
+    ));
     let bad = good.replace("\"drop\"", "\"gamma-ray\"");
     let err = parse(&bad).expect_err("unknown variants must not parse");
     for needle in ["unknown net fault type `gamma-ray`", "newer version", "refusing"] {

@@ -337,7 +337,13 @@ fn e18_gossip_sweeps_are_thread_count_invariant() {
         // task violation: every non-staleness violation kind is absent.
         for v in &r1.violations {
             assert!(
-                matches!(v.kind, wfa::faults::violation::ViolationKind::AdviceStale { .. }),
+                matches!(
+                    v.kind,
+                    wfa::faults::violation::ViolationKind::Degraded {
+                        class: DegradationKind::AdviceStale,
+                        ..
+                    }
+                ),
                 "{scenario}: unexpected violation {v}"
             );
         }

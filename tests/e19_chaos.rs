@@ -112,10 +112,10 @@ fn e19_soak_artifacts_shrink_to_fewer_faults() {
     let sv = small.violation.as_ref().expect("the shrunken artifact still violates");
     assert_eq!(sv.kind, v.kind, "shrinking preserves the violation kind");
     assert!(
-        small.faults.len() < full.faults.len(),
+        small.timeline.faults.len() < full.timeline.faults.len(),
         "shrinking must drop fault windows: {} -> {}",
-        full.faults.len(),
-        small.faults.len()
+        full.timeline.faults.len(),
+        small.timeline.faults.len()
     );
     // The shrunken artifact is self-contained: replaying it reproduces.
     let (_, diff) = replay_soak(&small.to_json()).expect("well-formed artifact");
