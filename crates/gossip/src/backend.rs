@@ -248,8 +248,7 @@ impl GossipBackend {
     /// index out into every peer buffer (transitive propagation). Returns
     /// whether the merge was fresh.
     fn merge_at(&mut self, r: usize, idx: usize) -> bool {
-        let rec = self.log[idx].clone();
-        if !self.replicas[r].merge(&rec) {
+        if !self.replicas[r].merge(&self.log[idx]) {
             return false;
         }
         self.roots[r] = None;
@@ -261,10 +260,11 @@ impl GossipBackend {
         true
     }
 
-    /// Drops from `buf[holder][peer]` every record `peer`'s delivered
-    /// context `acked` already covers — the ack-driven GC.
-    fn gc(&mut self, holder: usize, peer: usize, acked: &[u64]) {
-        let log = &self.log;
+    /// Drops from `buf[holder][peer]` every record `peer`'s causal context
+    /// already covers — the ack-driven GC, run when that context has been
+    /// delivered to `holder`. Reads the context in place.
+    fn gc(&mut self, holder: usize, peer: usize) {
+        let (log, acked) = (&self.log, &self.replicas[peer].ctx);
         let b = &mut self.buf[holder][peer];
         let before = b.len();
         b.retain(|idx| log[*idx].dot.index > acked[log[*idx].dot.origin]);
@@ -393,24 +393,24 @@ impl GossipBackend {
         let anchor = self.net.now();
         let horizon = anchor + self.cfg.net.round_span();
         let slots = self.dir.len();
-        // Leg 1, i → p: digest root + causal context.
-        let ctx_i = self.replicas[i].ctx.clone();
+        // Leg 1, i → p: digest root + causal context. Neither the root
+        // builds, the sends nor the GC touch a context, so legs 1–2 and the
+        // digest-hit comparison read both contexts in place.
         let root_i = self.digest_root(i, slots);
         let Some(t1) = self.net.peer_send(i, p, false, anchor) else {
             self.net.advance_to(horizon);
             return false;
         };
         // i's delivered context is GC evidence at p.
-        self.gc(p, i, &ctx_i);
+        self.gc(p, i);
         // Leg 2, p → i: the same back.
-        let ctx_p = self.replicas[p].ctx.clone();
         let root_p = self.digest_root(p, slots);
         let Some(t2) = self.net.peer_send(p, i, true, t1) else {
             self.net.advance_to(horizon.max(self.net.now()));
             return false;
         };
-        self.gc(i, p, &ctx_p);
-        if root_i == root_p && ctx_i == ctx_p {
+        self.gc(i, p);
+        if root_i == root_p && self.replicas[i].ctx == self.replicas[p].ctx {
             // Quiescent: two messages settled it, whatever the register count.
             obs_local::bump(Counter::NetGossipDigestHits);
             self.last_success[i] = self.rounds;
@@ -418,7 +418,9 @@ impl GossipBackend {
             self.net.advance_to(t2.max(self.net.now()));
             return true;
         }
-        // Leg 3, i → p: the buffered deltas p's context lacks.
+        // Leg 3, i → p: the buffered deltas p's context lacks. The batch is
+        // collected before the merges into p advance that context.
+        let ctx_p = &self.replicas[p].ctx;
         let send_i: Vec<usize> = self.buf[i][p]
             .iter()
             .copied()
@@ -436,7 +438,9 @@ impl GossipBackend {
         }
         self.last_success[p] = self.rounds;
         // Leg 4, p → i: the converse batch plus p's post-merge context — the
-        // ack that lets i GC what leg 3 shipped.
+        // ack that lets i GC what leg 3 shipped. Leg 3 merged only into p,
+        // so i's context is still the one leg 1 carried.
+        let ctx_i = &self.replicas[i].ctx;
         let send_p: Vec<usize> = self.buf[p][i]
             .iter()
             .copied()
@@ -452,8 +456,7 @@ impl GossipBackend {
                 obs_local::bump(Counter::NetGossipDeltasApplied);
             }
         }
-        let acked = self.replicas[p].ctx.clone();
-        self.gc(i, p, &acked);
+        self.gc(i, p);
         self.last_success[i] = self.rounds;
         self.net.advance_to(t4.max(self.net.now()));
         true

@@ -130,6 +130,29 @@ impl Store {
     }
 }
 
+/// Per-phase scratch buffers: where a phase leaves its quorum and its
+/// delivered set for the op that ran it. Not state — every phase clears
+/// them before use, no op reads them after the next phase starts, and they
+/// are left out of the fingerprint. A clone starts empty. They exist so a
+/// warm backend runs a healthy phase without allocating.
+#[derive(Debug, Default)]
+struct PhaseScratch {
+    /// The current round's replies, `(arrival, node)` sorted by arrival.
+    acks: Vec<(u64, usize)>,
+    /// The replicas that accepted the current retransmission round.
+    accepted: Vec<usize>,
+    /// The completed phase's quorum, in reply order.
+    quorum: Vec<usize>,
+    /// Every replica that accepted the phase's request in any round.
+    delivered: Vec<usize>,
+}
+
+impl Clone for PhaseScratch {
+    fn clone(&self) -> PhaseScratch {
+        PhaseScratch::default()
+    }
+}
+
 /// The quorum-replicated register file. Drop-in [`MemoryBackend`]:
 /// `Executor::set_backend(Box::new(AbdBackend::new(cfg)))` reroutes every
 /// register operation of a run through the network.
@@ -179,6 +202,9 @@ pub struct AbdBackend {
     /// Resolutions (spell-closing edges) not yet drained by the executor.
     /// Observation stream, excluded from the fingerprint like `pending`.
     resolved: Vec<Resolution>,
+    /// The last phase's quorum and delivered set (not state: excluded from
+    /// the fingerprint).
+    scratch: PhaseScratch,
 }
 
 impl AbdBackend {
@@ -209,6 +235,7 @@ impl AbdBackend {
             ever_degraded: false,
             pending: Vec::new(),
             resolved: Vec::new(),
+            scratch: PhaseScratch::default(),
         }
     }
 
@@ -276,8 +303,7 @@ impl AbdBackend {
     /// every completed write. On success the replica serves from the pull's
     /// completion tick; on failure it stays barred for the next attempt.
     fn resync(&mut self, node: usize, at: u64) {
-        let serving = self.serving_from.clone();
-        let Some((peers, done)) = self.net.sync_round(node, at, &serving) else {
+        let Some((peers, done)) = self.net.sync_round(node, at, &self.serving_from) else {
             return;
         };
         // Per-register timestamp audit against the pulled quorum−1 peers:
@@ -318,8 +344,9 @@ impl AbdBackend {
 
     /// Runs one protocol phase: broadcast rounds on the exponential-backoff
     /// schedule, with replica maintenance interleaved before each round,
-    /// until a majority replies. Returns the quorum, the replicas that
-    /// accepted the request in any round, and the completion tick.
+    /// until a majority replies. Returns the completion tick, and leaves
+    /// the quorum (in reply order) in `scratch.quorum` and the replicas
+    /// that accepted the request in any round in `scratch.delivered`.
     ///
     /// # Errors
     ///
@@ -327,29 +354,34 @@ impl AbdBackend {
     /// records a typed [`Degradation`] (kernel time `time`), enters the
     /// degraded spell, and returns `Err`. While degraded, phases probe with
     /// a single round; the first quorum found ends the spell.
-    fn phase(&mut self, op: &str, key: RegKey, me: Pid, time: u64) -> Result<(Vec<usize>, Vec<usize>, u64), ()> {
+    fn phase(&mut self, op: &str, key: RegKey, me: Pid, time: u64) -> Result<u64, ()> {
         let need = self.net.config().quorum();
         let start = self.net.now();
         // An open breaker caps the schedule at a single half-open probe.
         let policy = self.net.retry().with_budget(self.breaker.budget(self.net.config().max_rounds));
         let mut answered = 0;
-        let mut delivered: Vec<usize> = Vec::new();
         for round in 0..=policy.budget {
             if round > 0 {
                 obs_local::bump(Counter::NetRetransmits);
             }
             let sent = policy.send_tick(start, round);
             self.maintain(sent);
-            let serving = self.serving_from.clone();
-            let (acks, accepted) = self.net.round(sent, &serving);
-            for node in accepted {
-                if !delivered.contains(&node) {
-                    delivered.push(node);
+            let scratch = &mut self.scratch;
+            if round == 0 {
+                // The first round's accepted set is the delivered set so far.
+                self.net.round(sent, &self.serving_from, &mut scratch.acks, &mut scratch.delivered);
+            } else {
+                self.net.round(sent, &self.serving_from, &mut scratch.acks, &mut scratch.accepted);
+                for node in &scratch.accepted {
+                    if !scratch.delivered.contains(node) {
+                        scratch.delivered.push(*node);
+                    }
                 }
             }
-            if acks.len() >= need {
-                let completion = acks[need - 1].0;
-                let responders = acks[..need].iter().map(|(_, n)| *n).collect();
+            if scratch.acks.len() >= need {
+                let completion = scratch.acks[need - 1].0;
+                scratch.quorum.clear();
+                scratch.quorum.extend(scratch.acks[..need].iter().map(|(_, n)| *n));
                 self.net.advance_to(completion);
                 if self.breaker.close() {
                     // The half-open probe found its quorum: the spell is
@@ -369,9 +401,9 @@ impl AbdBackend {
                         shard: self.net.config().shard,
                     });
                 }
-                return Ok((responders, delivered, completion));
+                return Ok(completion);
             }
-            answered = acks.len();
+            answered = scratch.acks.len();
         }
         let horizon = policy.exhaustion_horizon(start);
         self.net.advance_to(horizon);
@@ -413,11 +445,11 @@ impl AbdBackend {
             .unwrap_or((Tag::default(), Value::Unit))
     }
 
-    /// Stores `(tag, val)` at slot `kx` of every replica in `nodes`, keeping
-    /// the per-replica maximum. A replica that crashed after accepting the
-    /// request mid-phase lost the copy and is skipped.
-    fn apply(&mut self, nodes: &[usize], kx: usize, tag: Tag, val: &Value) {
-        for n in nodes {
+    /// Stores `(tag, val)` at slot `kx` of every replica the last phase
+    /// delivered to, keeping the per-replica maximum. A replica that crashed
+    /// after accepting the request mid-phase lost the copy and is skipped.
+    fn apply(&mut self, kx: usize, tag: Tag, val: &Value) {
+        for n in &self.scratch.delivered {
             if self.serving_from[*n] == u64::MAX {
                 continue;
             }
@@ -456,11 +488,11 @@ impl MemoryBackend for AbdBackend {
         let kx = self.key_index(key);
         let start = self.net.now();
         // Phase 1: query a majority for the latest tagged copy.
-        let Ok((quorum, _, p1_done)) = self.phase("read", key, me, now) else {
+        let Ok(p1_done) = self.phase("read", key, me, now) else {
             // Degraded: the view is the linearized truth; serve it.
             return self.view.peek(key);
         };
-        let (mut tag, mut val) = self.collect_max(&quorum, kx);
+        let (mut tag, mut val) = self.collect_max(&self.scratch.quorum, kx);
         // Lazy repair after a degraded spell: writes served while degraded
         // reached only the view, so a quorum value that trails it is
         // converged by writing the view's value back under a fresh tag.
@@ -469,7 +501,10 @@ impl MemoryBackend for AbdBackend {
             tag = Tag(tag.0 + 1, me.0 as u64);
             val = self.view.peek(key);
         }
-        let done = if !repaired && self.net.config().read_optimized && self.unanimous(&quorum, kx, tag) {
+        let done = if !repaired
+            && self.net.config().read_optimized
+            && self.unanimous(&self.scratch.quorum, kx, tag)
+        {
             // Unanimous phase 1 ⇒ the pair is already at a majority; the
             // ordering write-back is redundant.
             obs_local::bump(Counter::NetReadbackSkips);
@@ -477,10 +512,10 @@ impl MemoryBackend for AbdBackend {
         } else {
             // Phase 2: write the observed pair back so the read is ordered
             // after the write it saw.
-            let Ok((_, delivered, p2_done)) = self.phase("read-back", key, me, now) else {
+            let Ok(p2_done) = self.phase("read-back", key, me, now) else {
                 return self.view.peek(key);
             };
-            self.apply(&delivered, kx, tag, &val);
+            self.apply(kx, tag, &val);
             p2_done
         };
         obs_local::bump(Counter::NetQuorumReads);
@@ -499,18 +534,18 @@ impl MemoryBackend for AbdBackend {
         let kx = self.key_index(key);
         let start = self.net.now();
         // Phase 1: learn the maximum tag a majority has seen.
-        let Ok((quorum, _, _)) = self.phase("write", key, me, now) else {
+        if self.phase("write", key, me, now).is_err() {
             self.view.write(key, val); // degraded: the view carries the write
             return;
-        };
-        let (Tag(ts, _), _) = self.collect_max(&quorum, kx);
+        }
+        let (Tag(ts, _), _) = self.collect_max(&self.scratch.quorum, kx);
         let tag = Tag(ts + 1, me.0 as u64);
         // Phase 2: store the new tagged value at (at least) a majority.
-        let Ok((_, delivered, done)) = self.phase("write-store", key, me, now) else {
+        let Ok(done) = self.phase("write-store", key, me, now) else {
             self.view.write(key, val);
             return;
         };
-        self.apply(&delivered, kx, tag, &val);
+        self.apply(kx, tag, &val);
         obs_local::bump(Counter::NetQuorumWrites);
         obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::QuorumOp, dur: done - start });
         obs_local::observe(HistKind::QuorumLatency, done - start);
@@ -554,8 +589,8 @@ impl MemoryBackend for AbdBackend {
             }
         }
         // Replica-failure machine state (`pending`, `resolved` and
-        // `spell_since` are observation streams, like the trace —
-        // deliberately excluded).
+        // `spell_since` are observation streams, like the trace, and
+        // `scratch` holds per-phase buffers — all deliberately excluded).
         self.cursor.hash(&mut h);
         self.serving_from.hash(&mut h);
         self.unsynced.hash(&mut h);

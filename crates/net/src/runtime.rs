@@ -43,15 +43,6 @@ pub fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One direction of a client↔replica channel pair.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Dir {
-    /// Client → replica (requests).
-    ToReplica,
-    /// Replica → client (replies).
-    ToClient,
-}
-
 /// The simulated network: clock, message counter, and per-channel FIFO
 /// watermarks. All remaining behaviour is a pure function of the config.
 #[derive(Clone, Debug)]
@@ -201,34 +192,36 @@ impl NetRuntime {
         received == expected
     }
 
-    /// Sends one message to (or from) replica `node` at tick `sent`;
-    /// returns its delivery tick, or `None` if a link dropped it.
-    fn transmit(&mut self, node: usize, dir: Dir, sent: u64) -> Option<u64> {
+    /// Sends one message at tick `sent` over FIFO channel `channel`
+    /// between the replicas in `endpoints` (one replica for client↔replica
+    /// traffic, both for replica↔replica traffic); returns its delivery
+    /// tick, or `None` if a link dropped it. Every endpoint's links are
+    /// consulted at send and at arrival, so partitions, crash windows, drop
+    /// windows and in-flight corruption apply the same way to every
+    /// protocol. The one send path: the periodic drop, the delay draw, the
+    /// FIFO clamp, in-flight loss, checksum verification and the counters.
+    fn send(&mut self, endpoints: &[usize], channel: usize, sent: u64) -> Option<u64> {
         self.msgs += 1;
         obs_local::bump(Counter::NetMsgsSent);
         obs_local::bump(Counter::shard_msgs(self.cfg.shard));
         let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || self.lossy(node, sent) {
+        if periodic_drop || endpoints.iter().any(|n| self.lossy(*n, sent)) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
         let dur = self.delay(self.msgs);
         let mut arrive = sent + dur;
-        let channel = match dir {
-            Dir::ToReplica => node,
-            Dir::ToClient => self.cfg.nodes + node,
-        };
         if self.cfg.fifo {
             // FIFO: never deliver before the channel's previous delivery.
             arrive = arrive.max(self.fifo_mark[channel]);
         }
         self.fifo_mark[channel] = arrive;
         // A partition may have started while the message was in flight.
-        if self.lossy(node, arrive) {
+        if endpoints.iter().any(|n| self.lossy(*n, arrive)) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
-        if !self.verify(&[node], arrive) {
+        if !self.verify(endpoints, arrive) {
             return None; // corrupt in flight: quarantined, never delivered
         }
         obs_local::bump(Counter::NetMsgsDelivered);
@@ -268,68 +261,34 @@ impl NetRuntime {
     /// `serving_from[n]` gates replica `n`: it accepts (and replies) only if
     /// it has been serving since before the request arrived — recovering
     /// replicas are silent until their re-sync completes (an empty slice
-    /// means everyone serves). Returns `(acks, delivered)`: replies as
-    /// `(arrival, node)` sorted by arrival, and the replicas that accepted
-    /// the request (they applied it even when their reply was lost —
-    /// supersets of quorums are what make the emulation's writes stick).
-    pub fn round(&mut self, sent: u64, serving_from: &[u64]) -> (Vec<(u64, usize)>, Vec<usize>) {
-        let mut acks: Vec<(u64, usize)> = Vec::new();
-        let mut delivered: Vec<usize> = Vec::new();
-        for node in 0..self.cfg.nodes {
-            if let Some(at_replica) = self.transmit(node, Dir::ToReplica, sent) {
+    /// means everyone serves). Clears the caller's buffers, then fills
+    /// `acks` with the replies as `(arrival, node)` sorted by arrival and
+    /// `accepted` with the replicas that accepted the request, in node
+    /// order (they applied it even when their reply was lost — supersets of
+    /// quorums are what make the emulation's writes stick). The caller owns
+    /// the buffers, so a warm caller runs rounds without allocating.
+    pub fn round(
+        &mut self,
+        sent: u64,
+        serving_from: &[u64],
+        acks: &mut Vec<(u64, usize)>,
+        accepted: &mut Vec<usize>,
+    ) {
+        acks.clear();
+        accepted.clear();
+        let nodes = self.cfg.nodes;
+        for node in 0..nodes {
+            if let Some(at_replica) = self.send(&[node], node, sent) {
                 if serving_from.get(node).copied().unwrap_or(0) > at_replica {
                     continue; // refused: recovered but not yet re-synced
                 }
-                delivered.push(node);
-                if let Some(done) = self.transmit(node, Dir::ToClient, at_replica) {
+                accepted.push(node);
+                if let Some(done) = self.send(&[node], nodes + node, at_replica) {
                     acks.push((done, node));
                 }
             }
         }
         acks.sort_unstable();
-        (acks, delivered)
-    }
-
-    /// Runs broadcast rounds (with the backoff schedule) until a majority
-    /// replies, and advances the clock to the tick the quorum completed.
-    ///
-    /// Returns `(responders, delivered, completion)`: the quorum in (reply
-    /// tick, index) order, every replica that accepted the request in any
-    /// round, and the tick the `quorum()`-th reply arrived.
-    ///
-    /// # Errors
-    ///
-    /// After `max_rounds` retransmissions without a quorum, advances the
-    /// clock to the end of the final round's window and returns the number
-    /// of replicas that answered in that round. The `AbdBackend` drives its
-    /// own per-round loop (it interleaves replica maintenance); this
-    /// convenience wrapper serves direct runtime users and tests.
-    pub fn quorum_round(&mut self) -> Result<(Vec<usize>, Vec<usize>, u64), usize> {
-        let need = self.cfg.quorum();
-        let start = self.now;
-        let mut answered = 0;
-        let mut delivered: Vec<usize> = Vec::new();
-        for round in 0..=self.cfg.max_rounds {
-            if round > 0 {
-                obs_local::bump(Counter::NetRetransmits);
-            }
-            let sent = self.round_send_tick(start, round);
-            let (acks, accepted) = self.round(sent, &[]);
-            for node in accepted {
-                if !delivered.contains(&node) {
-                    delivered.push(node);
-                }
-            }
-            if acks.len() >= need {
-                let completion = acks[need - 1].0;
-                let responders = acks[..need].iter().map(|(_, n)| *n).collect();
-                self.now = completion;
-                return Ok((responders, delivered, completion));
-            }
-            answered = acks.len();
-        }
-        self.now = self.retry().exhaustion_horizon(start);
-        Err(answered)
     }
 
     /// One state-pull round for recovering replica `node`, anchored at
@@ -376,71 +335,16 @@ impl NetRuntime {
     /// partitions, crash windows, drop windows and in-flight corruption all
     /// apply exactly as they do to quorum traffic.
     pub fn peer_send(&mut self, from: usize, to: usize, reply: bool, sent: u64) -> Option<u64> {
-        self.msgs += 1;
-        obs_local::bump(Counter::NetMsgsSent);
-        obs_local::bump(Counter::shard_msgs(self.cfg.shard));
-        let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || self.lossy(from, sent) || self.lossy(to, sent) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        let dur = self.delay(self.msgs);
-        let mut arrive = sent + dur;
         let channel = if reply { 3 * self.cfg.nodes + to } else { 2 * self.cfg.nodes + to };
-        if self.cfg.fifo {
-            arrive = arrive.max(self.fifo_mark[channel]);
-        }
-        self.fifo_mark[channel] = arrive;
-        if self.lossy(from, arrive) || self.lossy(to, arrive) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        if !self.verify(&[from, to], arrive) {
-            return None; // corrupt in flight: quarantined, never delivered
-        }
-        obs_local::bump(Counter::NetMsgsDelivered);
-        obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::Channel, dur });
-        if self.cfg.dup_every > 0 && self.msgs.is_multiple_of(self.cfg.dup_every) {
-            obs_local::bump(Counter::NetMsgsDuplicated);
-            obs_local::bump(Counter::NetMsgsDelivered);
-        }
-        Some(arrive)
+        self.send(&[from, to], channel, sent)
     }
 
     /// Sends one re-sync message between recovering replica `puller` and
     /// `peer` (request when `reply` is false, tagged-state reply back when
-    /// true). Both endpoints' links are consulted at send and arrival.
+    /// true): a [`NetRuntime::peer_send`] counted as re-sync traffic.
     fn transmit_sync(&mut self, puller: usize, peer: usize, reply: bool, sent: u64) -> Option<u64> {
-        self.msgs += 1;
-        obs_local::bump(Counter::NetMsgsSent);
-        obs_local::bump(Counter::shard_msgs(self.cfg.shard));
         obs_local::bump(Counter::NetResyncMsgs);
-        let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || self.lossy(puller, sent) || self.lossy(peer, sent) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        let dur = self.delay(self.msgs);
-        let mut arrive = sent + dur;
-        let channel = if reply { 3 * self.cfg.nodes + peer } else { 2 * self.cfg.nodes + peer };
-        if self.cfg.fifo {
-            arrive = arrive.max(self.fifo_mark[channel]);
-        }
-        self.fifo_mark[channel] = arrive;
-        if self.lossy(puller, arrive) || self.lossy(peer, arrive) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        if !self.verify(&[puller, peer], arrive) {
-            return None; // corrupt in flight: quarantined, never delivered
-        }
-        obs_local::bump(Counter::NetMsgsDelivered);
-        obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::Channel, dur });
-        if self.cfg.dup_every > 0 && self.msgs.is_multiple_of(self.cfg.dup_every) {
-            obs_local::bump(Counter::NetMsgsDuplicated);
-            obs_local::bump(Counter::NetMsgsDelivered);
-        }
-        Some(arrive)
+        self.peer_send(puller, peer, reply, sent)
     }
 }
 
@@ -451,6 +355,43 @@ mod tests {
 
     fn healthy(nodes: usize) -> NetRuntime {
         NetRuntime::new(NetConfig::new(nodes, 7))
+    }
+
+    /// Runs broadcast rounds (with the backoff schedule) until a majority
+    /// replies, and advances the clock to the tick the quorum completed —
+    /// the `AbdBackend` phase loop without its replica maintenance.
+    ///
+    /// Returns `(responders, delivered, completion)`: the quorum in (reply
+    /// tick, index) order, every replica that accepted the request in any
+    /// round, and the tick the `quorum()`-th reply arrived. After
+    /// `max_rounds` retransmissions without a quorum, advances the clock to
+    /// the end of the final round's window and returns the number of
+    /// replicas that answered in that round.
+    fn quorum_round(rt: &mut NetRuntime) -> Result<(Vec<usize>, Vec<usize>, u64), usize> {
+        let need = rt.cfg.quorum();
+        let start = rt.now;
+        let (mut acks, mut accepted, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..=rt.cfg.max_rounds {
+            if round > 0 {
+                obs_local::bump(Counter::NetRetransmits);
+            }
+            let sent = rt.round_send_tick(start, round);
+            rt.round(sent, &[], &mut acks, &mut accepted);
+            for node in &accepted {
+                if !delivered.contains(node) {
+                    delivered.push(*node);
+                }
+            }
+            if acks.len() >= need {
+                let completion = acks[need - 1].0;
+                let responders = acks[..need].iter().map(|(_, n)| *n).collect();
+                rt.advance_to(completion);
+                return Ok((responders, delivered, completion));
+            }
+        }
+        let answered = acks.len();
+        rt.advance_to(rt.retry().exhaustion_horizon(start));
+        Err(answered)
     }
 
     #[test]
@@ -469,7 +410,7 @@ mod tests {
         let obs = MetricsHandle::counters();
         let mut rt = healthy(5);
         let _g = obs_local::enter(&obs, 0, 0);
-        let (responders, delivered, done) = rt.quorum_round().expect("healthy net");
+        let (responders, delivered, done) = quorum_round(&mut rt).expect("healthy net");
         assert_eq!(responders.len(), 3);
         assert_eq!(delivered.len(), 5);
         assert!(done >= 2, "two link delays minimum");
@@ -485,7 +426,7 @@ mod tests {
             let mut rt = healthy(5);
             let mut log = Vec::new();
             for _ in 0..10 {
-                log.push(rt.quorum_round().expect("healthy net"));
+                log.push(quorum_round(&mut rt).expect("healthy net"));
             }
             (log, rt.now(), rt.messages_sent())
         };
@@ -499,7 +440,7 @@ mod tests {
         let mut rt = NetRuntime::new(cfg.clone());
         let mut last = 0;
         for t in 0..50 {
-            if let Some(at) = rt.transmit(0, Dir::ToReplica, t) {
+            if let Some(at) = rt.send(&[0], 0, t) {
                 assert!(at >= last, "FIFO channel reordered: {at} after {last}");
                 last = at;
             }
@@ -510,7 +451,7 @@ mod tests {
         let mut reordered = false;
         let mut prev = 0;
         for t in 0..50 {
-            if let Some(at) = free.transmit(0, Dir::ToReplica, t) {
+            if let Some(at) = free.send(&[0], 0, t) {
                 reordered |= at < prev;
                 prev = at;
             }
@@ -523,7 +464,7 @@ mod tests {
         let cfg = NetConfig::new(5, 7)
             .with_fault(NetFault::Partition { at: 0, nodes: vec![3, 4] });
         let mut rt = NetRuntime::new(cfg);
-        let (responders, delivered, _) = rt.quorum_round().expect("majority reachable");
+        let (responders, delivered, _) = quorum_round(&mut rt).expect("majority reachable");
         assert_eq!(responders.len(), 3);
         assert!(responders.iter().all(|n| *n < 3));
         assert_eq!(delivered.len(), 3);
@@ -534,7 +475,7 @@ mod tests {
         let cfg = NetConfig::new(5, 7)
             .with_fault(NetFault::Partition { at: 0, nodes: vec![0, 1, 2] });
         let mut rt = NetRuntime::new(cfg);
-        let answered = rt.quorum_round().expect_err("quorum must be unreachable");
+        let answered = quorum_round(&mut rt).expect_err("quorum must be unreachable");
         assert!(answered <= 2);
     }
 
@@ -546,7 +487,7 @@ mod tests {
             .with_fault(NetFault::Heal { at: 10 });
         let mut rt = NetRuntime::new(cfg);
         let _g = obs_local::enter(&obs, 0, 0);
-        let (responders, _, _) = rt.quorum_round().expect("healed in time");
+        let (responders, _, _) = quorum_round(&mut rt).expect("healed in time");
         assert_eq!(responders.len(), 3);
         assert!(obs.get(Counter::NetRetransmits) > 0, "recovery needed retransmits");
         assert!(obs.get(Counter::NetMsgsDropped) > 0);
@@ -585,7 +526,8 @@ mod tests {
     fn barred_replicas_neither_accept_nor_reply() {
         let mut rt = healthy(3);
         let serving = vec![0, u64::MAX, 0];
-        let (acks, delivered) = rt.round(0, &serving);
+        let (mut acks, mut delivered) = (Vec::new(), Vec::new());
+        rt.round(0, &serving, &mut acks, &mut delivered);
         assert!(acks.iter().all(|(_, n)| *n != 1), "barred replica must not ack");
         assert!(!delivered.contains(&1), "barred replica must not apply");
         assert_eq!(delivered.len(), 2);
@@ -624,7 +566,7 @@ mod tests {
         let mut rt = NetRuntime::new(cfg);
         let _g = obs_local::enter(&obs, 0, 0);
         for _ in 0..20 {
-            rt.quorum_round().expect("corruption must be recovered by retransmits");
+            quorum_round(&mut rt).expect("corruption must be recovered by retransmits");
         }
         let detected = obs.get(Counter::NetCorruptMsgsDetected);
         assert!(detected > 0, "the periodic knob must have fired");
@@ -646,7 +588,8 @@ mod tests {
             .with_fault(NetFault::CorruptMessage { at: 0, until: 10, node: 0 });
         let mut rt = NetRuntime::new(cfg);
         let _g = obs_local::enter(&obs, 0, 0);
-        let (responders, _, _) = rt.quorum_round().expect("two healthy replicas keep the quorum");
+        let (responders, _, _) =
+            quorum_round(&mut rt).expect("two healthy replicas keep the quorum");
         assert!(!responders.contains(&0), "node 0's replies were quarantined");
         assert!(obs.get(Counter::NetCorruptMsgsDetected) > 0);
         // Quarantine is not link loss: the drop counter stays at zero.
@@ -659,7 +602,7 @@ mod tests {
         let mut rt = healthy(5);
         let _g = obs_local::enter(&obs, 0, 0);
         for _ in 0..10 {
-            rt.quorum_round().expect("healthy net");
+            quorum_round(&mut rt).expect("healthy net");
         }
         assert_eq!(obs.get(Counter::NetCorruptMsgsDetected), 0);
         assert_eq!(obs.get(Counter::NetCorruptMsgsQuarantined), 0);
@@ -672,7 +615,7 @@ mod tests {
         cfg.max_rounds = 6;
         let mut rt = NetRuntime::new(cfg);
         for _ in 0..20 {
-            rt.quorum_round().expect("drops must be recovered by retransmits");
+            quorum_round(&mut rt).expect("drops must be recovered by retransmits");
         }
     }
 }

@@ -30,8 +30,20 @@ use wfa::obs::metrics::MetricsHandle;
 
 /// The `wfa-cli ksa` default run (n=4, k=2, stab=200, seed=7), optionally
 /// over the ABD backend with the CLI's `--backend net` seed derivation.
-fn ksa_run(obs: &MetricsHandle, net: bool) -> (Option<u64>, Vec<Value>) {
-    let (n, k, stab, seed) = (4usize, 2u32, 200u64, 7u64);
+fn ksa_run(obs: &MetricsHandle, net: bool) -> (Option<u64>, Vec<Value>, u64) {
+    ksa_shaped(obs, 4, 200, net)
+}
+
+/// A seed-7, k=2 EFD ksa run of `n` processes under a detector that
+/// stabilises at `stab`, optionally over `n` ABD replicas. Returns the
+/// slots used, the output vector and the run fingerprint.
+fn ksa_shaped(
+    obs: &MetricsHandle,
+    n: usize,
+    stab: u64,
+    net: bool,
+) -> (Option<u64>, Vec<Value>, u64) {
+    let (k, seed) = (2u32, 7u64);
     let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
     let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
@@ -50,14 +62,18 @@ fn ksa_run(obs: &MetricsHandle, net: bool) -> (Option<u64>, Vec<Value>) {
     let mut sched = run.fair_sched(seed ^ 0xc11);
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let outputs = run.executor.output_vector();
-    (slots, outputs)
+    (slots, outputs, run.executor.fingerprint())
 }
 
 #[test]
 fn e14_fixed_seed_net_ksa_has_exact_counters() {
     let obs = MetricsHandle::counters();
-    let (slots, _) = ksa_run(&obs, true);
+    let (slots, _, fp) = ksa_run(&obs, true);
     assert_eq!(slots, Some(320), "the net backend must not change the schedule");
+    // The run fingerprint hashes every replica's tagged store, the network
+    // clock, message counter and FIFO marks: any drift in what the protocol
+    // sends, delays or stores moves it, even where no counter does.
+    assert_eq!(fp, 0xf2fa_d6bd_56ff_cb40, "run fingerprint {fp:#x}");
     let snap = obs.snapshot().expect("metrics enabled");
     // The E13 kernel pins, unchanged: the backend is observationally
     // transparent to the algorithm.
@@ -101,8 +117,8 @@ fn e14_fixed_seed_net_ksa_has_exact_counters() {
 
 #[test]
 fn e14_net_and_shm_ksa_decide_identically() {
-    let (slots_shm, out_shm) = ksa_run(&MetricsHandle::disabled(), false);
-    let (slots_net, out_net) = ksa_run(&MetricsHandle::disabled(), true);
+    let (slots_shm, out_shm, _) = ksa_run(&MetricsHandle::disabled(), false);
+    let (slots_net, out_net, _) = ksa_run(&MetricsHandle::disabled(), true);
     assert_eq!(out_shm, out_net, "ABD emulation must be observationally equivalent");
     assert_eq!(slots_shm, slots_net);
 }
@@ -131,6 +147,38 @@ fn e14_net_and_shm_renaming_decide_identically() {
             assert!(shm.iter().any(Option::is_some), "k={k} seed={seed}: nobody decided");
         }
     }
+}
+
+#[test]
+fn e14_abd8_ksa_and_renaming_fingerprints_are_pinned() {
+    // The benchmark's ABD shapes: ksa with n = 8 over 8 replicas (detector
+    // stabilising at 50), and Figure-4 renaming (j = 4 of m = 5, 2-concurrent)
+    // over 8 replicas. Pinned slots, outputs and fingerprints catch a change
+    // to the message path that leaves every decision alone.
+    let obs = MetricsHandle::counters();
+    let (slots, out, fp) = ksa_shaped(&obs, 8, 50, true);
+    assert_eq!(slots, Some(448), "ksa slots");
+    let mut want = vec![Value::Int(1); 8];
+    want.resize(16, Value::Unit); // the S-processes output nothing
+    assert_eq!(out, want, "ksa outputs");
+    assert_eq!(fp, 0x8def_c338_090e_ac50, "ksa run fingerprint {fp:#x}");
+    let snap = obs.snapshot().expect("metrics enabled");
+    assert_eq!(snap.counter("net_msgs_sent"), Some(13024), "ksa messages");
+
+    let (j, m, k, seed) = (4usize, 5usize, 2usize, 7u64);
+    let mut ex = Executor::new();
+    ex.set_backend(Box::new(AbdBackend::new(NetConfig::new(8, seed ^ 0x7e7))));
+    let pids: Vec<Pid> =
+        (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
+    let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
+    run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+    let names: Vec<Option<Value>> =
+        pids.iter().map(|p| ex.status(*p).decision().cloned()).collect();
+    assert_eq!(ex.clock(), 18, "renaming slots");
+    let want: Vec<Option<Value>> = [2, 1, 4, 3].into_iter().map(|n| Some(Value::Int(n))).collect();
+    assert_eq!(names, want, "renaming decisions");
+    let fp = ex.fingerprint();
+    assert_eq!(fp, 0x019f_61de_e1bd_548b, "renaming run fingerprint {fp:#x}");
 }
 
 #[test]

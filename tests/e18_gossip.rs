@@ -40,7 +40,7 @@ use wfa::obs::metrics::MetricsHandle;
 /// The `wfa-cli ksa` default run (n=4, k=2, stab=200, seed=7), optionally
 /// over the gossip backend with the CLI's `--backend gossip` seed
 /// derivation.
-fn ksa_run(obs: &MetricsHandle, gossip: bool) -> (Option<u64>, Vec<Value>) {
+fn ksa_run(obs: &MetricsHandle, gossip: bool) -> (Option<u64>, Vec<Value>, u64) {
     let (n, k, stab, seed) = (4usize, 2u32, 200u64, 7u64);
     let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
     let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
@@ -60,14 +60,18 @@ fn ksa_run(obs: &MetricsHandle, gossip: bool) -> (Option<u64>, Vec<Value>) {
     let mut sched = run.fair_sched(seed ^ 0xc11);
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let outputs = run.executor.output_vector();
-    (slots, outputs)
+    (slots, outputs, run.executor.fingerprint())
 }
 
 #[test]
 fn e18_fixed_seed_gossip_ksa_has_exact_counters() {
     let obs = MetricsHandle::counters();
-    let (slots, _) = ksa_run(&obs, true);
+    let (slots, _, fp) = ksa_run(&obs, true);
     assert_eq!(slots, Some(320), "the gossip backend must not change the schedule");
+    // The run fingerprint hashes every replica's slots and causal context,
+    // the delta log, the per-peer buffers and the network state: any drift
+    // in what an exchange ships or merges moves it.
+    assert_eq!(fp, 0xbdf9_80ff_b8a5_00be, "run fingerprint {fp:#x}");
     let snap = obs.snapshot().expect("metrics enabled");
     // The E13 kernel pins, unchanged: the backend is observationally
     // transparent to the algorithm.
@@ -112,8 +116,8 @@ fn e18_fixed_seed_gossip_ksa_has_exact_counters() {
 
 #[test]
 fn e18_gossip_and_shm_ksa_decide_identically() {
-    let (slots_shm, out_shm) = ksa_run(&MetricsHandle::disabled(), false);
-    let (slots_gsp, out_gsp) = ksa_run(&MetricsHandle::disabled(), true);
+    let (slots_shm, out_shm, _) = ksa_run(&MetricsHandle::disabled(), false);
+    let (slots_gsp, out_gsp, _) = ksa_run(&MetricsHandle::disabled(), true);
     assert_eq!(out_shm, out_gsp, "key-homed gossip must be observationally identical");
     assert_eq!(slots_shm, slots_gsp);
 }
