@@ -22,8 +22,8 @@
 //! * *no fabricated reads* — a gossip read may be stale (an older value for
 //!   that key, or `⊥`) but never a value nobody wrote;
 //! * *quorum safety* — a `quorum-lost` degradation is a violation unless
-//!   its tick falls inside the expected envelope of a heal-bounded majority
-//!   partition ([`expected_envelopes`]);
+//!   its tick falls inside the expected envelope of a closed majority
+//!   partition window (read from the timeline's [`FaultWindows`]);
 //! * *convergence on quiescence* + *causal replay* — after the op stream
 //!   ends, the gossip cluster must converge within `3n + 8` anti-entropy
 //!   rounds and every replica state must be the causal replay of its
@@ -54,6 +54,7 @@ use wfa_kernel::memory::RegKey;
 use wfa_kernel::value::{Pid, Value};
 use wfa_net::config::{Durability, NetConfig, NetFault};
 use wfa_net::runtime::mix;
+use wfa_net::windows::FaultWindows;
 use wfa_obs::local as obs_local;
 use wfa_obs::metrics::{MetricsHandle, Snapshot};
 
@@ -240,8 +241,9 @@ pub fn draw_durability(seed: u64) -> Durability {
 /// drawn from the intensity-dependent menu, plus sparse freeze windows.
 /// Every generated window is majority-safe except the storm menu's
 /// heal-bounded majority partitions, whose degradations are *expected*
-/// (see [`expected_envelopes`]); gaps after those are long enough for the
-/// spell to resolve before the next window opens.
+/// inside envelopes the engine derives from the timeline's partition
+/// windows; gaps after those are long enough for the spell to resolve
+/// before the next window opens.
 pub fn timeline(cfg: &SoakConfig) -> Timeline {
     let mut tl = Timeline::default();
     let ticks = cfg.ticks;
@@ -340,39 +342,33 @@ pub fn timeline(cfg: &SoakConfig) -> Timeline {
         // The injected bug: a majority-breaking partition after the last
         // generated window, never healed. Net soaks degrade outside every
         // expected envelope; gossip soaks fail convergence-on-quiescence.
+        // A long gossip window opened just before the generation cutoff
+        // can heal past 85% of the horizon; the bug then opens after that
+        // heal, or the heal would close it.
         let cut: Vec<usize> = (0..n - quorum + 1).collect();
-        tl.faults.push(NetFault::Partition { at: ticks * 85 / 100, nodes: cut });
+        let bug = ticks * 85 / 100;
+        let healed = FaultWindows::new(&tl.faults, n).partitions().last().map_or(0, |w| w.end);
+        let at = if healed > bug { healed.saturating_add(1) } else { bug };
+        tl.faults.push(NetFault::Partition { at, nodes: cut });
     }
     tl
 }
 
 /// Tick envelopes inside which `quorum-lost` degradations are *expected*:
-/// one per majority-breaking partition that a later heal bounds, spanning
-/// `[at, heal + 2·horizon + 32)`. Derived from the fault list alone — the
-/// same derivation serves generation, replay and shrinking, so an
-/// artifact's faults are the single source of truth. An unhealed majority
-/// partition contributes no envelope: its degradations are violations.
-pub fn expected_envelopes(faults: &[NetFault], nodes: usize) -> Vec<(u64, u64)> {
+/// one per majority-breaking partition window that closes, spanning
+/// `[start, end + 2·horizon + 32)`. Read from the fault list alone — the
+/// same windows serve generation, replay and shrinking, so an artifact's
+/// faults are the single source of truth. A majority partition that never
+/// closes contributes no envelope: its degradations are violations.
+fn envelopes(windows: &FaultWindows, nodes: usize) -> Vec<(u64, u64)> {
     let quorum = nodes / 2 + 1;
     let slack = 2 * NetConfig::new(nodes, 0).retransmission_horizon() + 32;
-    let mut out = Vec::new();
-    for f in faults {
-        if let NetFault::Partition { at, nodes: cut } = f {
-            if nodes - cut.len().min(nodes) < quorum {
-                let heal = faults
-                    .iter()
-                    .filter_map(|g| match g {
-                        NetFault::Heal { at: h } if h > at => Some(*h),
-                        _ => None,
-                    })
-                    .min();
-                if let Some(h) = heal {
-                    out.push((*at, h + slack));
-                }
-            }
-        }
-    }
-    out
+    windows
+        .partitions()
+        .iter()
+        .filter(|w| w.closed_by.is_some() && nodes - w.who.len() < quorum)
+        .map(|w| (w.start, w.end + slack))
+        .collect()
 }
 
 /// The register-file model the oracles compare against.
@@ -788,28 +784,6 @@ fn mttr_rows(rows: &[Recovery]) -> Vec<MttrRow> {
         .collect()
 }
 
-/// `(crash, recover, node)` spans paired from a fault list (a crash with
-/// no later recovery is open-ended). Drives the gossip op stream's write
-/// steering — derived from the timeline alone, so checkpointed replays and
-/// shrunken artifacts steer identically.
-fn crash_spans(faults: &[NetFault]) -> Vec<(u64, u64, usize)> {
-    let mut out = Vec::new();
-    for f in faults {
-        if let NetFault::CrashReplica { at, node } = f {
-            let until = faults
-                .iter()
-                .filter_map(|g| match g {
-                    NetFault::RecoverReplica { at: r, node: m } if m == node && r > at => Some(*r),
-                    _ => None,
-                })
-                .min()
-                .unwrap_or(u64::MAX);
-            out.push((*at, until, *node));
-        }
-    }
-    out
-}
-
 /// The gossip home replica key `kx` prefers (mirrors
 /// [`GossipBackend`]'s routing).
 fn home_of_key(kx: usize, nodes: usize) -> usize {
@@ -821,8 +795,9 @@ struct Engine<'a> {
     cfg: &'a SoakConfig,
     tl: &'a Timeline,
     envelopes: Vec<(u64, u64)>,
-    /// Crash spans from the timeline (gossip write steering).
-    crashes: Vec<(u64, u64, usize)>,
+    /// The timeline's fault windows (gossip write steering reads the
+    /// crash windows).
+    windows: FaultWindows,
 }
 
 impl Engine<'_> {
@@ -841,8 +816,12 @@ impl Engine<'_> {
         let mut write = op.is_multiple_of(3) && !frozen;
         if self.cfg.backend == SoakBackend::Gossip {
             let n = self.cfg.nodes;
-            if let Some(&(_, _, node)) =
-                self.crashes.iter().find(|w| tick < w.0 && w.0 <= tick + STALE_APPROACH)
+            if let Some(node) = self
+                .windows
+                .crashes()
+                .iter()
+                .find(|w| tick < w.start && w.start <= tick + STALE_APPROACH)
+                .map(|w| w.who)
             {
                 // A home is about to crash (and is already partitioned, in
                 // the composed window): steer fresh advice into it so the
@@ -859,11 +838,7 @@ impl Engine<'_> {
                 // would land at the fallback and close the spell before
                 // the horizon ever measures it. Reads stay on the natural
                 // cycle — they are what witnesses the staleness.
-                let down = |k: usize| {
-                    self.crashes
-                        .iter()
-                        .any(|w| w.0 <= tick && tick < w.1 && home_of_key(k, n) == w.2)
-                };
+                let down = |k: usize| self.windows.down(home_of_key(k, n), tick);
                 for _ in 0..KEYS {
                     if !down(kx) {
                         break;
@@ -1050,8 +1025,8 @@ impl Engine<'_> {
 /// first; both produce identical reports for identical inputs.
 pub fn run_soak(cfg: &SoakConfig, tl: &Timeline) -> SoakReport {
     let obs = MetricsHandle::counters();
-    let envelopes = expected_envelopes(&tl.faults, cfg.nodes);
-    let engine = Engine { cfg, tl, envelopes, crashes: crash_spans(&tl.faults) };
+    let windows = FaultWindows::new(&tl.faults, cfg.nodes);
+    let engine = Engine { cfg, tl, envelopes: envelopes(&windows, cfg.nodes), windows };
     let backend = cfg.backend.spec(cfg.nodes, cfg.seed).build(cfg.seed, &tl.faults);
     let mut st = SoakState { backend, model: Model::new(), ops: 0 };
     let mut checkpoints: Vec<(u64, SoakState)> = Vec::new();
@@ -1129,49 +1104,12 @@ pub fn replay_soak(artifact: &Json) -> Result<(SoakReport, SoakDiff), String> {
     Ok((fresh, diff))
 }
 
-/// Groups a fault list into droppable windows: a partition with its heal,
-/// a crash with its matching recovery, loss/corruption windows (and any
-/// stray heal/recover) singly.
-fn fault_windows(faults: &[NetFault]) -> Vec<Vec<usize>> {
-    let mut grouped = vec![false; faults.len()];
-    let mut windows = Vec::new();
-    for i in 0..faults.len() {
-        if grouped[i] {
-            continue;
-        }
-        grouped[i] = true;
-        let mut w = vec![i];
-        match &faults[i] {
-            NetFault::Partition { at, .. } => {
-                if let Some(j) = (i + 1..faults.len()).find(|j| {
-                    !grouped[*j] && matches!(&faults[*j], NetFault::Heal { at: h } if h > at)
-                }) {
-                    grouped[j] = true;
-                    w.push(j);
-                }
-            }
-            NetFault::CrashReplica { at, node } => {
-                if let Some(j) = (i + 1..faults.len()).find(|j| {
-                    !grouped[*j]
-                        && matches!(&faults[*j],
-                            NetFault::RecoverReplica { at: h, node: m } if h > at && m == node)
-                }) {
-                    grouped[j] = true;
-                    w.push(j);
-                }
-            }
-            _ => {}
-        }
-        windows.push(w);
-    }
-    windows
-}
-
 /// Shrinks a violating soak artifact with `shrink::shrink_plan`, the
 /// greedy loop sweeps shrink with: first over whole fault windows
-/// (partition+heal and crash+recover pairs together, loss and corruption
-/// windows singly), then over freeze windows, keeping each drop iff the
-/// re-soak still reaches the same violation kind. Both passes share one
+/// ([`FaultWindows::groups`]: a partition with its heal and a crash with
+/// its recovery together, loss and corruption windows singly), then over
+/// freeze windows, keeping each drop iff the re-soak still reaches the
+/// same violation kind. Both passes share one
 /// budget of `MAX_SOAK_REPLAYS` re-soaks. Returns the shrunken, replayable
 /// report and the number of re-soaks spent. A clean report is returned
 /// unchanged.
@@ -1184,7 +1122,8 @@ pub fn shrink_soak(report: &SoakReport) -> (SoakReport, usize) {
         r.violation.as_ref().is_some_and(|v| v.kind == v0.kind).then_some(r)
     };
     let drop_windows = |tl: &Timeline| -> Vec<Timeline> {
-        fault_windows(&tl.faults)
+        FaultWindows::new(&tl.faults, report.config.nodes)
+            .groups()
             .into_iter()
             .map(|w| Timeline {
                 faults: (0..tl.faults.len())
@@ -1220,22 +1159,18 @@ mod tests {
         cfg.intensity = Intensity::Calm;
         let tl = timeline(&cfg);
         assert!(!tl.faults.is_empty(), "a 2k-tick calm soak still draws windows");
+        let w = FaultWindows::new(&tl.faults, cfg.nodes);
         // Calm menus never break the majority: no expected envelopes.
-        assert!(expected_envelopes(&tl.faults, cfg.nodes).is_empty());
+        assert!(envelopes(&w, cfg.nodes).is_empty());
         assert!(wfa_net::config::majority_safe(&tl.faults, cfg.nodes));
-        // Windows are serialized: sorted by start tick.
-        let starts: Vec<u64> = tl
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                NetFault::Partition { at, .. }
-                | NetFault::CrashReplica { at, .. }
-                | NetFault::Drop { at, .. }
-                | NetFault::CorruptMessage { at, .. } => Some(*at),
-                NetFault::Heal { .. } | NetFault::RecoverReplica { .. } => None,
-            })
-            .collect();
-        assert!(starts.windows(2).all(|w| w[0] < w[1]), "windows overlap: {starts:?}");
+        // Windows are serialized: in tick order, none overlaps the next.
+        let mut spans: Vec<(u64, u64)> = w.partitions().iter().map(|p| (p.start, p.end)).collect();
+        for link in [w.crashes(), w.drops(), w.corruptions()] {
+            spans.extend(link.iter().map(|l| (l.start, l.end)));
+        }
+        spans.sort_unstable();
+        assert_eq!(spans.len(), w.groups().len(), "one window per drawn fault window");
+        assert!(spans.windows(2).all(|p| p[0].1 < p[1].0), "windows overlap: {spans:?}");
     }
 
     #[test]
@@ -1244,14 +1179,15 @@ mod tests {
         cfg.intensity = Intensity::Storm;
         cfg.seed = 3;
         let tl = timeline(&cfg);
-        let envelopes = expected_envelopes(&tl.faults, cfg.nodes);
-        assert!(!envelopes.is_empty(), "storms draw heal-bounded majority partitions");
+        let expected = envelopes(&FaultWindows::new(&tl.faults, cfg.nodes), cfg.nodes);
+        assert!(!expected.is_empty(), "storms draw heal-bounded majority partitions");
         // The injected bug is an *unhealed* majority partition — it must
         // not gain an envelope (its degradations are the violation).
         cfg.inject_bug = true;
         let bug_tl = timeline(&cfg);
         assert_eq!(bug_tl.faults.len(), tl.faults.len() + 1);
-        assert_eq!(expected_envelopes(&bug_tl.faults, cfg.nodes).len(), envelopes.len());
+        let with_bug = envelopes(&FaultWindows::new(&bug_tl.faults, cfg.nodes), cfg.nodes);
+        assert_eq!(with_bug, expected);
     }
 
     #[test]
@@ -1336,15 +1272,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_windows_pair_partitions_with_heals_and_crashes_with_recoveries() {
-        let faults = vec![
-            NetFault::CrashReplica { at: 10, node: 1 },
-            NetFault::RecoverReplica { at: 30, node: 1 },
-            NetFault::Drop { at: 50, until: 60, node: 0 },
-            NetFault::Partition { at: 80, nodes: vec![2] },
-            NetFault::Heal { at: 100 },
+    fn a_partition_replaced_before_its_heal_closes_at_the_replacement() {
+        // Four nodes, quorum 3: a two-node cut breaks the majority. The
+        // first cut is replaced by a minority one before the heal, so its
+        // envelope ends at the replacement, not at the later heal.
+        let faults = [
+            NetFault::Partition { at: 100, nodes: vec![0, 1] },
+            NetFault::Partition { at: 200, nodes: vec![3] },
+            NetFault::Heal { at: 900 },
         ];
-        let w = fault_windows(&faults);
-        assert_eq!(w, vec![vec![0, 1], vec![2], vec![3, 4]]);
+        let slack = 2 * NetConfig::new(4, 0).retransmission_horizon() + 32;
+        assert_eq!(envelopes(&FaultWindows::new(&faults, 4), 4), vec![(100, 200 + slack)]);
     }
 }

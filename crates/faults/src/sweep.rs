@@ -625,6 +625,7 @@ mod tests {
     #[test]
     fn net_scenarios_sweep_majority_safe_network_plans() {
         use wfa_net::config::NetFault;
+        use wfa_net::windows::FaultWindows;
 
         let sc = Scenario::ksa_net();
         let plans = PlanSearch::for_scenario(&sc, 2).plans();
@@ -652,17 +653,12 @@ mod tests {
             assert!(p.net_majority_safe(sc.backend.nodes()), "model-exceeding plan: {}", p.describe());
             // Every swept crash carries its recovery — the menu only offers
             // creditable pairs.
-            for f in &p.net_faults {
-                if let NetFault::CrashReplica { node, .. } = f {
-                    assert!(
-                        p.net_faults
-                            .iter()
-                            .any(|g| matches!(g, NetFault::RecoverReplica { node: r, .. } if r == node)),
-                        "unrecovered swept crash: {}",
-                        p.describe()
-                    );
-                }
-            }
+            let windows = FaultWindows::new(&p.net_faults, sc.backend.nodes());
+            assert!(
+                windows.crashes().iter().all(|w| w.closed_by.is_some()),
+                "unrecovered swept crash: {}",
+                p.describe()
+            );
             if p.net_faults.iter().any(|f| matches!(f, NetFault::Heal { .. })) {
                 assert!(
                     p.net_faults.iter().any(|f| matches!(f, NetFault::Partition { .. })),

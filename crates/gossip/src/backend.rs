@@ -62,9 +62,10 @@ use std::hash::{Hash, Hasher};
 use wfa_kernel::backend::{Degradation, DegradationKind, MemoryBackend, Resolution};
 use wfa_kernel::memory::{RegKey, SharedMemory};
 use wfa_kernel::value::{Pid, Value};
-use wfa_net::config::{Durability, NetFault};
+use wfa_net::config::Durability;
 use wfa_net::retry::probe_healthy;
 use wfa_net::runtime::{mix, NetRuntime};
+use wfa_net::windows::ReplicaEvent;
 use wfa_obs::local as obs_local;
 use wfa_obs::metrics::{Counter, HistKind};
 use wfa_obs::span::{seq, EventKind, SpanKind};
@@ -114,10 +115,9 @@ pub struct GossipBackend {
     ops_since_round: u64,
     /// Round number of each replica's last completed exchange half.
     last_success: Vec<u64>,
-    /// The crash/recover timeline `(tick, node, is_crash)` sorted by tick,
-    /// processed once in order by `maintain` (the ABD discipline).
-    events: Vec<(u64, usize, bool)>,
-    /// Next unprocessed entry of `events`.
+    /// Next unprocessed entry of the runtime's crash/recover timeline
+    /// (`FaultWindows::replica_events`), which `maintain` applies once, in
+    /// order (the ABD discipline).
     cursor: usize,
     /// Replica is currently crashed (its exchanges are skipped and
     /// `home_of` probes past it).
@@ -149,17 +149,6 @@ pub struct GossipBackend {
 impl GossipBackend {
     /// A backend over a fresh network with empty replicas.
     pub fn new(cfg: GossipConfig) -> GossipBackend {
-        let mut events: Vec<(u64, usize, bool)> = cfg
-            .net
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                NetFault::CrashReplica { at, node } => Some((*at, *node, true)),
-                NetFault::RecoverReplica { at, node } => Some((*at, *node, false)),
-                _ => None,
-            })
-            .collect();
-        events.sort_by_key(|e| e.0);
         let n = cfg.net.nodes;
         GossipBackend {
             net: NetRuntime::new(cfg.net.clone()),
@@ -174,7 +163,6 @@ impl GossipBackend {
             rounds: 0,
             ops_since_round: 0,
             last_success: vec![0; n],
-            events,
             cursor: 0,
             crashed: vec![false; n],
             crash_round: vec![0; n],
@@ -204,13 +192,6 @@ impl GossipBackend {
     /// Messages sent on the simulated network so far.
     pub fn messages_sent(&self) -> u64 {
         self.net.messages_sent()
-    }
-
-    /// The global join of every minted delta — identical to the linearized
-    /// register contents (an alias of [`MemoryBackend::view`] under the
-    /// oracle's name).
-    pub fn global_join(&self) -> &SharedMemory {
-        &self.view
     }
 
     /// Total log indices still parked in per-peer delta buffers (the GC
@@ -275,10 +256,11 @@ impl GossipBackend {
     /// maintenance discipline: latest-event-wins timelines, processed once,
     /// in order). Fault-free runs take the empty fast path.
     fn maintain(&mut self, upto: u64) {
-        while self.cursor < self.events.len() && self.events[self.cursor].0 <= upto {
-            let (_, node, is_crash) = self.events[self.cursor];
+        while let Some(&ReplicaEvent { node, crash, .. }) =
+            self.net.windows().replica_events().get(self.cursor).filter(|e| e.at <= upto)
+        {
             self.cursor += 1;
-            if is_crash {
+            if crash {
                 obs_local::bump(Counter::NetReplicaCrashes);
                 self.crashed[node] = true;
                 self.crash_round[node] = self.rounds;
@@ -673,6 +655,7 @@ impl MemoryBackend for GossipBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wfa_net::config::NetFault;
     use wfa_obs::metrics::MetricsHandle;
 
     fn backend(nodes: usize, seed: u64) -> GossipBackend {

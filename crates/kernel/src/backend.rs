@@ -68,7 +68,7 @@ impl DegradationKind {
 /// raises [`DegradationKind::AdviceStale`] when a partitioned replica keeps
 /// serving reads that lag the global join past its staleness horizon. The
 /// executor drains them after every step — they are *observations*, excluded
-/// from fingerprints like the trace — and the faults harness promotes the
+/// from fingerprints like the metrics — and the faults harness promotes the
 /// first one per run to a replayable Violation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Degradation {

@@ -31,7 +31,6 @@ use wfa_obs::{local as obs_local};
 use crate::backend::{Degradation, MemoryBackend, Resolution};
 use crate::memory::SharedMemory;
 use crate::process::{DynProcess, Status, StepCtx};
-use crate::trace::{Trace, TraceEvent};
 use crate::value::{Pid, Value};
 
 /// One registered process and its run-local bookkeeping.
@@ -115,9 +114,8 @@ pub struct Executor {
     backend: Box<dyn MemoryBackend>,
     slots: Vec<Slot>,
     clock: u64,
-    trace: Option<Trace>,
     /// Structured degradations drained from the backend after each step, in
-    /// step order. An observation stream like `trace` — excluded from
+    /// step order. An observation stream, excluded from
     /// [`Executor::fingerprint`].
     degradations: Vec<Degradation>,
     /// Matching degradation-resolved records, in step order — the closing
@@ -250,9 +248,6 @@ impl Executor {
             };
             *slot.fp.get_mut() = None;
             let decided = matches!(slot.status, Status::Decided(_));
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent { time: now, pid, op: ctx.last_op(), decided });
-            }
             if obs.is_enabled() {
                 let op = Op::from(ctx.last_op());
                 obs.bump(Counter::EffectiveSteps);
@@ -284,16 +279,6 @@ impl Executor {
             obs.bump(Counter::NullSteps);
         }
         &self.slots[pid.0].status
-    }
-
-    /// Enables event tracing, retaining the last `cap` effective steps.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(Trace::new(cap));
-    }
-
-    /// The recorded trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Attaches an observability handle; every subsequent step records

@@ -58,6 +58,6 @@ pub mod prelude {
         run_schedule, KConcurrent, NullEnv, RandomSched, RoundRobin, Scheduler, Starve, StepEnv,
         StopReason,
     };
-    pub use crate::trace::{OpKind, Trace, TraceEvent};
+    pub use crate::trace::OpKind;
     pub use crate::value::{Pid, Value};
 }

@@ -1,19 +1,15 @@
-//! Run tracing.
+//! Step footprints.
 //!
-//! An optional bounded event log attached to a run: each effective process
-//! step is recorded with its time, process, and the step's memory operation
-//! (if any). Traces power the space-time diagrams in the examples and make
-//! counterexample schedules from the model checker human-readable.
-//!
-//! Tracing is off by default (zero cost); enable it per-executor with
-//! [`crate::executor::Executor::enable_trace`].
+//! [`OpKind`] records what one process step did to shared memory. The
+//! executor reads it from `StepCtx::last_op` after every effective step and
+//! hands it to the observability layer, whose event stream renders
+//! space-time diagrams and exports (`wfa_obs::span`).
 
 use std::fmt;
 
 use wfa_obs::span::Op;
 
 use crate::memory::RegKey;
-use crate::value::Pid;
 
 /// What a step did to shared memory.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -49,109 +45,9 @@ impl fmt::Display for OpKind {
     }
 }
 
-/// One traced step.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TraceEvent {
-    /// Logical time of the step.
-    pub time: u64,
-    /// The stepping process.
-    pub pid: Pid,
-    /// The memory operation performed.
-    pub op: OpKind,
-    /// `true` iff the step was the process's decide step.
-    pub decided: bool,
-}
-
-/// A bounded ring of [`TraceEvent`]s (oldest events are dropped first).
-#[derive(Clone, Debug)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl Trace {
-    /// An empty trace retaining at most `cap` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new(cap: usize) -> Trace {
-        assert!(cap > 0, "trace capacity must be positive");
-        Trace { events: Vec::new(), cap, dropped: 0 }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() == self.cap {
-            self.events.remove(0);
-            self.dropped += 1;
-        }
-        self.events.push(ev);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Renders a space-time diagram: one row per process, one column per
-    /// retained step; `D` marks decide steps.
-    pub fn diagram(&self, n_procs: usize) -> String {
-        let mut rows = vec![String::new(); n_procs];
-        for ev in &self.events {
-            for (i, row) in rows.iter_mut().enumerate() {
-                if i == ev.pid.0 {
-                    row.push(if ev.decided { 'D' } else { Op::from(ev.op).glyph() });
-                } else {
-                    row.push(' ');
-                }
-            }
-        }
-        rows.iter()
-            .enumerate()
-            .map(|(i, r)| format!("P{i:<2} {r}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t: u64, p: usize, op: OpKind) -> TraceEvent {
-        TraceEvent { time: t, pid: Pid(p), op, decided: false }
-    }
-
-    #[test]
-    fn ring_drops_oldest() {
-        let mut tr = Trace::new(3);
-        for t in 0..5 {
-            tr.push(ev(t, 0, OpKind::None));
-        }
-        assert_eq!(tr.events().len(), 3);
-        assert_eq!(tr.events()[0].time, 2);
-        assert_eq!(tr.dropped(), 2);
-    }
-
-    #[test]
-    fn diagram_rows_align() {
-        let mut tr = Trace::new(10);
-        tr.push(ev(0, 0, OpKind::Write(RegKey::new(1))));
-        tr.push(ev(1, 1, OpKind::Read(RegKey::new(1))));
-        tr.push(TraceEvent { time: 2, pid: Pid(0), op: OpKind::None, decided: true });
-        let d = tr.diagram(2);
-        let lines: Vec<&str> = d.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains('w') && lines[0].contains('D'));
-        assert!(lines[1].contains('r'));
-    }
 
     #[test]
     fn opkind_display() {

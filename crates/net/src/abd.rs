@@ -26,9 +26,10 @@
 //! in the tree run unchanged over the network — and what the cross-backend
 //! equivalence tests pin.
 //!
-//! **Replica failure.** [`NetFault::CrashReplica`]/[`NetFault::RecoverReplica`]
-//! events crash and revive individual replicas; a crashed replica's links
-//! are cut at the same send+arrival points as partitions, and under
+//! **Replica failure.** [`crate::config::NetFault::CrashReplica`] and
+//! [`crate::config::NetFault::RecoverReplica`] events crash and revive
+//! individual replicas; a crashed replica's links are cut at the same
+//! send+arrival points as partitions, and under
 //! [`Durability::Volatile`] its store is wiped. A recovered replica refuses
 //! to serve quorum rounds until a deterministic *re-sync* completes: it
 //! pulls the `(tag, value)` state of every key from `quorum() − 1` peers
@@ -59,9 +60,10 @@ use wfa_obs::local as obs_local;
 use wfa_obs::metrics::{Counter, HistKind};
 use wfa_obs::span::{seq, EventKind, SpanKind};
 
-use crate::config::{Durability, NetConfig, NetFault, ShardMap};
+use crate::config::{Durability, NetConfig, ShardMap};
 use crate::retry::Breaker;
 use crate::runtime::NetRuntime;
+use crate::windows::ReplicaEvent;
 
 /// A write tag: `(sequence number, writer pid)`, ordered lexicographically.
 /// The derived `Ord` is exactly the ABD tag order.
@@ -172,11 +174,9 @@ pub struct AbdBackend {
     /// its value back to a quorum), and the debug self-check that a quorum
     /// read agrees with it while no spell ever happened.
     view: SharedMemory,
-    /// The crash/recover timeline, `(tick, node, is_crash)`, sorted by tick
-    /// (stable — config order breaks ties, matching the runtime's
-    /// latest-event-wins rule). Processed once, in order, by `maintain`.
-    events: Vec<(u64, usize, bool)>,
-    /// Next unprocessed entry of `events`.
+    /// Next unprocessed entry of the runtime's crash/recover timeline
+    /// ([`crate::windows::FaultWindows::replica_events`]), which
+    /// `maintain` applies once, in order.
     cursor: usize,
     /// Tick from which replica `n` serves quorum rounds: `0` from birth,
     /// `u64::MAX` barred (crashed, or recovered but awaiting re-sync), else
@@ -210,23 +210,12 @@ pub struct AbdBackend {
 impl AbdBackend {
     /// A backend over a fresh network with empty replicas.
     pub fn new(cfg: NetConfig) -> AbdBackend {
-        let mut events: Vec<(u64, usize, bool)> = cfg
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                NetFault::CrashReplica { at, node } => Some((*at, *node, true)),
-                NetFault::RecoverReplica { at, node } => Some((*at, *node, false)),
-                _ => None,
-            })
-            .collect();
-        events.sort_by_key(|e| e.0);
         let nodes = cfg.nodes;
         AbdBackend {
             net: NetRuntime::new(cfg),
             replicas: vec![Store::default(); nodes],
             dir: BTreeMap::new(),
             view: SharedMemory::new(),
-            events,
             cursor: 0,
             serving_from: vec![0; nodes],
             unsynced: vec![false; nodes],
@@ -252,13 +241,15 @@ impl AbdBackend {
     /// [`NetConfig::recovery_horizon`]. Fault-free runs take the empty
     /// fast path and send nothing.
     fn maintain(&mut self, upto: u64) {
-        if self.cursor >= self.events.len() && !self.unsynced.iter().any(|u| *u) {
+        let pending = self.net.windows().replica_events().len();
+        if self.cursor >= pending && !self.unsynced.iter().any(|u| *u) {
             return;
         }
-        while self.cursor < self.events.len() && self.events[self.cursor].0 <= upto {
-            let (at, node, is_crash) = self.events[self.cursor];
+        while let Some(&ReplicaEvent { at, node, crash }) =
+            self.net.windows().replica_events().get(self.cursor).filter(|e| e.at <= upto)
+        {
             self.cursor += 1;
-            if is_crash {
+            if crash {
                 obs_local::bump(Counter::NetReplicaCrashes);
                 self.serving_from[node] = u64::MAX;
                 self.unsynced[node] = false;

@@ -9,6 +9,7 @@
 use wfa_obs::json::Json;
 
 use crate::retry::RetryPolicy;
+use crate::windows::FaultWindows;
 
 /// A declarative network fault, timed in network ticks.
 ///
@@ -214,8 +215,8 @@ pub enum Durability {
 }
 
 impl Durability {
-    /// Stable name used in JSON encodings (the `PrefixDurable` horizon is
-    /// carried by the separate `flush_horizon` config field).
+    /// Stable name under which soak reports print the policy their seed
+    /// drew (the `PrefixDurable` horizon is not part of it).
     pub fn name(&self) -> &'static str {
         match self {
             Durability::Volatile => "volatile",
@@ -360,53 +361,12 @@ impl NetConfig {
             .saturating_sub(2 * self.max_delay)
     }
 
-    /// See [`majority_safe`]; uses this config's own horizons.
+    /// See [`majority_safe`]; uses this config's own horizons. Reads the
+    /// fault list through [`FaultWindows`], the runtime's own reading.
     pub fn majority_safe(&self) -> bool {
         let nodes = self.nodes;
-        // Unavailability windows `(start, end-exclusive, members)`. The
-        // partition timeline follows the runtime's latest-event-wins rule,
-        // so partition windows are sequential: each runs until the next
-        // partition-affecting event.
-        let mut pevents: Vec<(u64, Option<Vec<usize>>)> = self
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                NetFault::Partition { at, nodes: iso } => Some((*at, Some(iso.clone()))),
-                NetFault::Heal { at } => Some((*at, None)),
-                _ => None,
-            })
-            .collect();
-        pevents.sort_by_key(|(at, _)| *at);
-        let mut part_windows: Vec<(u64, u64, Vec<usize>)> = Vec::new();
-        for (i, (at, iso)) in pevents.iter().enumerate() {
-            if let Some(iso) = iso {
-                let end = pevents.get(i + 1).map_or(u64::MAX, |(t, _)| *t);
-                let members: Vec<usize> = iso.iter().copied().filter(|n| *n < nodes).collect();
-                if !members.is_empty() && end > *at {
-                    part_windows.push((*at, end, members));
-                }
-            }
-        }
-        // Crash windows: a crash runs to the node's next recovery.
-        let mut crash_windows: Vec<(u64, u64, usize)> = Vec::new();
-        for f in &self.faults {
-            if let NetFault::CrashReplica { at, node } = f {
-                if *node >= nodes {
-                    continue;
-                }
-                let recover = self
-                    .faults
-                    .iter()
-                    .filter_map(|g| match g {
-                        NetFault::RecoverReplica { at: r, node: m } if m == node && *r >= *at => {
-                            Some(*r)
-                        }
-                        _ => None,
-                    })
-                    .min();
-                crash_windows.push((*at, recover.unwrap_or(u64::MAX), *node));
-            }
-        }
+        let windows = FaultWindows::new(&self.faults, nodes);
+        let (parts, crashes) = (windows.partitions(), windows.crashes());
         // Credit short windows. A credited crash additionally needs a
         // serving majority of peers reachable throughout its re-sync round
         // trip `[recovery, recovery + round_span)`.
@@ -416,29 +376,29 @@ impl NetConfig {
             let peers = (0..nodes)
                 .filter(|p| {
                     *p != node
-                        && !crash_windows.iter().any(|(a2, r2, n2)| {
-                            n2 == p && *a2 < hi && r < r2.saturating_add(slack)
+                        && !crashes.iter().any(|c| {
+                            c.who == *p && c.start < hi && r < c.end.saturating_add(slack)
                         })
-                        && !part_windows
-                            .iter()
-                            .any(|(s, e, ms)| ms.contains(p) && *s < hi && r < *e)
+                        && !parts.iter().any(|w| w.who.contains(p) && w.start < hi && r < w.end)
                 })
                 .count();
             peers >= self.quorum().saturating_sub(1)
         };
         let ph = self.retransmission_horizon();
         let rh = self.recovery_horizon();
-        let mut live: Vec<(u64, u64, Vec<usize>)> = part_windows
+        // Uncredited unavailability windows `(start, end-exclusive, members)`.
+        let mut live: Vec<(u64, u64, &[usize])> = parts
             .iter()
-            .filter(|(s, e, _)| *e == u64::MAX || e - s > ph)
-            .cloned()
+            .filter(|w| w.end == u64::MAX || w.end - w.start > ph)
+            .map(|w| (w.start, w.end, w.who.as_slice()))
             .collect();
-        for (a, r, node) in &crash_windows {
-            let credited = *r != u64::MAX && r - a <= rh && resync_feasible(*r, *node);
+        for c in crashes {
+            let credited =
+                c.end != u64::MAX && c.end - c.start <= rh && resync_feasible(c.end, c.who);
             if !credited {
                 // Uncredited but finite windows still end — pad by the
                 // re-sync allowance before the node counts as back.
-                live.push((*a, r.saturating_add(slack), vec![*node]));
+                live.push((c.start, c.end.saturating_add(slack), std::slice::from_ref(&c.who)));
             }
         }
         // The union of concurrently unavailable nodes only grows at window
@@ -447,7 +407,7 @@ impl NetConfig {
             let mut down = vec![false; nodes];
             for (s, e, ms) in &live {
                 if *s <= *start && *start < *e {
-                    for n in ms {
+                    for n in *ms {
                         down[*n] = true;
                     }
                 }
@@ -461,78 +421,6 @@ impl NetConfig {
     pub fn with_fault(mut self, fault: NetFault) -> NetConfig {
         self.faults.push(fault);
         self
-    }
-
-    /// Canonical JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("nodes".into(), Json::Num(self.nodes as u64)),
-            ("seed".into(), Json::Num(self.seed)),
-            ("fifo".into(), Json::Bool(self.fifo)),
-            ("min_delay".into(), Json::Num(self.min_delay)),
-            ("max_delay".into(), Json::Num(self.max_delay)),
-            ("drop_every".into(), Json::Num(self.drop_every)),
-            ("dup_every".into(), Json::Num(self.dup_every)),
-            ("corrupt_every".into(), Json::Num(self.corrupt_every)),
-            ("max_rounds".into(), Json::Num(self.max_rounds as u64)),
-            ("durability".into(), Json::Str(self.durability.name().into())),
-            (
-                "flush_horizon".into(),
-                Json::Num(match self.durability {
-                    Durability::PrefixDurable(h) => h,
-                    _ => 0,
-                }),
-            ),
-            ("read_optimized".into(), Json::Bool(self.read_optimized)),
-            ("shard".into(), Json::Num(self.shard as u64)),
-            ("faults".into(), Json::Arr(self.faults.iter().map(NetFault::to_json).collect())),
-        ])
-    }
-
-    /// Parses a config encoded by [`NetConfig::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first shape mismatch, or a refusal for
-    /// an artifact recorded with op batching on (`batch_max` > 1): batching
-    /// was removed, and an unbatched replay cannot reproduce a batched run's
-    /// outcome (its stalls name phase `batch`).
-    pub fn from_json(json: &Json) -> Result<NetConfig, String> {
-        let num = |k: &str| json.get(k).and_then(Json::num).ok_or(format!("config lacks `{k}`"));
-        if let Some(b) = json.get("batch_max").and_then(Json::num).filter(|b| *b > 1) {
-            return Err(format!(
-                "config sets `batch_max` = {b}, but op batching was removed; refusing to replay"
-            ));
-        }
-        let mut faults = Vec::new();
-        if let Some(arr) = json.get("faults").and_then(Json::arr) {
-            for f in arr {
-                faults.push(NetFault::from_json(f)?);
-            }
-        }
-        Ok(NetConfig {
-            nodes: num("nodes")? as usize,
-            seed: num("seed")?,
-            fifo: json.get("fifo").and_then(Json::bool).unwrap_or(true),
-            min_delay: num("min_delay")?,
-            max_delay: num("max_delay")?,
-            drop_every: json.get("drop_every").and_then(Json::num).unwrap_or(0),
-            dup_every: json.get("dup_every").and_then(Json::num).unwrap_or(0),
-            corrupt_every: json.get("corrupt_every").and_then(Json::num).unwrap_or(0),
-            max_rounds: num("max_rounds")? as u32,
-            // PR-4 artifacts lack the replica-failure fields; default them.
-            durability: match json.get("durability").and_then(Json::str) {
-                Some("durable") => Durability::Durable,
-                Some("prefix-durable") => Durability::PrefixDurable(
-                    json.get("flush_horizon").and_then(Json::num).unwrap_or(0),
-                ),
-                _ => Durability::Volatile,
-            },
-            read_optimized: json.get("read_optimized").and_then(Json::bool).unwrap_or(false),
-            // Artifacts older than sharding lack the key: unsharded.
-            shard: json.get("shard").and_then(Json::num).unwrap_or(0) as usize,
-            faults,
-        })
     }
 }
 
@@ -586,28 +474,6 @@ impl ShardMap {
     pub fn configs(&self, base: &NetConfig) -> Vec<NetConfig> {
         (0..self.shards).map(|s| self.config_for(base, s)).collect()
     }
-
-    /// Canonical JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("shards".into(), Json::Num(self.shards as u64)),
-            ("nodes_per_shard".into(), Json::Num(self.nodes_per_shard as u64)),
-        ])
-    }
-
-    /// Parses a map encoded by [`ShardMap::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first shape mismatch.
-    pub fn from_json(json: &Json) -> Result<ShardMap, String> {
-        let num = |k: &str| json.get(k).and_then(Json::num).ok_or(format!("shard map lacks `{k}`"));
-        let (shards, nodes) = (num("shards")? as usize, num("nodes_per_shard")? as usize);
-        if shards == 0 || nodes == 0 {
-            return Err("shard map dimensions must be positive".into());
-        }
-        Ok(ShardMap { shards, nodes_per_shard: nodes })
-    }
 }
 
 #[cfg(test)]
@@ -615,29 +481,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_roundtrips_through_json() {
-        let mut cfg = NetConfig::new(5, 42)
-            .with_fault(NetFault::Partition { at: 10, nodes: vec![3, 4] })
-            .with_fault(NetFault::Heal { at: 90 })
-            .with_fault(NetFault::Drop { at: 5, until: 9, node: 1 })
-            .with_fault(NetFault::CrashReplica { at: 20, node: 2 })
-            .with_fault(NetFault::RecoverReplica { at: 33, node: 2 })
-            .with_fault(NetFault::CorruptMessage { at: 12, until: 25, node: 3 });
-        cfg.durability = Durability::Durable;
-        cfg.read_optimized = true;
-        cfg.shard = 2;
-        cfg.corrupt_every = 11;
-        let back = NetConfig::from_json(&Json::parse(&cfg.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn prefix_durability_roundtrips_with_its_horizon() {
-        let mut cfg = NetConfig::new(3, 7);
-        cfg.durability = Durability::PrefixDurable(5);
-        let back = NetConfig::from_json(&Json::parse(&cfg.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back.durability, Durability::PrefixDurable(5));
-        assert_eq!(back, cfg);
+    fn durability_names_are_stable() {
         assert_eq!(Durability::PrefixDurable(5).name(), "prefix-durable");
     }
 
@@ -647,38 +491,6 @@ mod tests {
         let err = NetFault::from_json(&json).unwrap_err();
         assert!(err.contains("unknown net fault type `gamma-ray`"), "{err}");
         assert!(err.contains("newer version"), "the message must explain itself: {err}");
-        assert!(err.contains("refusing to replay"), "{err}");
-    }
-
-    #[test]
-    fn configs_without_a_shard_key_parse_unsharded() {
-        // An artifact written before the shard field existed.
-        let legacy = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
-                         "drop_every":0,"dup_every":0,"max_rounds":3,"faults":[]}"#;
-        let cfg = NetConfig::from_json(&Json::parse(legacy).unwrap()).unwrap();
-        assert_eq!(cfg.shard, 0);
-    }
-
-    #[test]
-    fn unbatched_batch_max_key_still_parses() {
-        // Artifacts recorded while op batching existed carry `batch_max`;
-        // the unbatched value 1 replays exactly as a config without it.
-        let old = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
-                      "drop_every":0,"dup_every":0,"max_rounds":3,
-                      "batch_max":1,"shard":0,"faults":[]}"#;
-        let cfg = NetConfig::from_json(&Json::parse(old).unwrap()).unwrap();
-        assert_eq!(cfg, NetConfig::new(3, 7));
-        assert!(!cfg.to_json().to_string().contains("batch_max"));
-    }
-
-    #[test]
-    fn batched_configs_refuse_to_replay() {
-        let batched = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
-                          "drop_every":0,"dup_every":0,"max_rounds":3,
-                          "batch_max":4,"shard":0,"faults":[]}"#;
-        let err = NetConfig::from_json(&Json::parse(batched).unwrap()).unwrap_err();
-        assert!(err.contains("`batch_max`"), "the message must name the key: {err}");
-        assert!(err.contains("op batching was removed"), "{err}");
         assert!(err.contains("refusing to replay"), "{err}");
     }
 
@@ -697,32 +509,6 @@ mod tests {
         assert_eq!(cfgs[0].seed, base.seed, "group 0 keeps the base delay stream");
         let seeds: std::collections::BTreeSet<u64> = cfgs.iter().map(|c| c.seed).collect();
         assert_eq!(seeds.len(), 4, "group delay streams are independent");
-        let back = ShardMap::from_json(&Json::parse(&map.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, map);
-        assert!(ShardMap::from_json(&Json::parse(r#"{"shards":0,"nodes_per_shard":3}"#).unwrap())
-            .is_err());
-    }
-
-    #[test]
-    fn pr4_configs_parse_with_defaulted_replica_fields() {
-        // An artifact written before the replica-failure fields existed.
-        let legacy = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
-                         "drop_every":0,"dup_every":0,"max_rounds":3,"faults":[]}"#;
-        let cfg = NetConfig::from_json(&Json::parse(legacy).unwrap()).unwrap();
-        assert_eq!(cfg.durability, Durability::Volatile);
-        assert!(!cfg.read_optimized);
-    }
-
-    #[test]
-    fn configs_carrying_the_retired_legacy_panic_key_still_parse() {
-        // Artifacts written while the quorum-loss panic shim existed carry a
-        // `legacy_panic` key; it is ignored, and quorum loss degrades.
-        let old = r#"{"nodes":3,"seed":7,"fifo":true,"min_delay":1,"max_delay":4,
-                      "drop_every":0,"dup_every":0,"max_rounds":3,"legacy_panic":true,
-                      "batch_max":1,"shard":0,"faults":[]}"#;
-        let cfg = NetConfig::from_json(&Json::parse(old).unwrap()).unwrap();
-        assert_eq!(cfg, NetConfig::new(3, 7));
-        assert!(!cfg.to_json().to_string().contains("legacy_panic"));
     }
 
     #[test]

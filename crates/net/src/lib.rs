@@ -9,7 +9,10 @@
 //! * [`config`] — [`config::NetConfig`]: replica topology, link timing and
 //!   misbehaviour (drop/duplication), durability policy, and timed
 //!   [`config::NetFault`]s (partition/heal/drop windows, replica
-//!   crash/recover), all JSON-serializable and replayable;
+//!   crash/recover) with the JSON codec fault plans replay through;
+//! * [`windows`] — [`windows::FaultWindows`]: the one reading of a fault
+//!   list as partition, crash, drop and corruption windows (latest event
+//!   wins, list order breaks ties), which every consumer queries;
 //! * [`runtime`] — [`runtime::NetRuntime`]: the simulated network. Per-
 //!   channel FIFO or reordering delivery, seed-driven delays (stateless
 //!   SplitMix draws, so the runtime forks and hashes like the kernel),
@@ -65,6 +68,7 @@ pub mod abd;
 pub mod config;
 pub mod retry;
 pub mod runtime;
+pub mod windows;
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -72,4 +76,5 @@ pub mod prelude {
     pub use crate::config::{majority_safe, NetConfig, NetFault};
     pub use crate::retry::{Breaker, RetryPolicy};
     pub use crate::runtime::NetRuntime;
+    pub use crate::windows::FaultWindows;
 }

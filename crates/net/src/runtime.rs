@@ -14,8 +14,9 @@
 //! * **non-FIFO**: messages overtake freely.
 //!
 //! Time is *network ticks*: a logical clock advanced only by message
-//! activity. Faults ([`NetFault`]) are windows on this clock; the runtime
-//! consults the (immutable) fault list functionally rather than mutating
+//! activity. Faults ([`crate::config::NetFault`]) are windows on this
+//! clock: the runtime compiles its (immutable) fault list into
+//! [`FaultWindows`] once and queries them functionally rather than mutating
 //! partition state, which keeps replay trivially correct.
 //!
 //! Observability: the runtime counts messages through
@@ -24,13 +25,15 @@
 //! run, without the runtime holding a handle (it must stay `Clone + Hash`).
 
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use wfa_obs::local as obs_local;
 use wfa_obs::metrics::Counter;
 use wfa_obs::span::{seq, EventKind, SpanKind};
 
-use crate::config::{NetConfig, NetFault};
+use crate::config::NetConfig;
 use crate::retry::RetryPolicy;
+use crate::windows::FaultWindows;
 
 /// SplitMix64 finalizer — the statistically solid 64-bit mixer used to
 /// derive per-message delays from `(seed, message counter)` without storing
@@ -48,6 +51,9 @@ pub fn mix(mut z: u64) -> u64 {
 #[derive(Clone, Debug)]
 pub struct NetRuntime {
     cfg: NetConfig,
+    /// `cfg.faults` compiled once; shared by forks and left out of the
+    /// hash, which covers `cfg`.
+    windows: Arc<FaultWindows>,
     /// The network clock, in ticks; advances when quorum operations
     /// complete or retransmission rounds back off.
     now: u64,
@@ -73,12 +79,18 @@ impl NetRuntime {
         // channels the re-sync protocol pulls over:
         // `[to_replica.., to_client.., sync_req.., sync_rep..]`.
         let channels = cfg.nodes * 4;
-        NetRuntime { cfg, now: 0, msgs: 0, fifo_mark: vec![0; channels] }
+        let windows = Arc::new(FaultWindows::new(&cfg.faults, cfg.nodes));
+        NetRuntime { cfg, windows, now: 0, msgs: 0, fifo_mark: vec![0; channels] }
     }
 
     /// The configuration this runtime replays.
     pub fn config(&self) -> &NetConfig {
         &self.cfg
+    }
+
+    /// The config's fault list, compiled into windows.
+    pub fn windows(&self) -> &FaultWindows {
+        &self.windows
     }
 
     /// The current network tick.
@@ -98,70 +110,6 @@ impl NetRuntime {
         self.cfg.min_delay + mix(self.cfg.seed ^ c.wrapping_mul(0x517c_c1b7_2722_0a95)) % span
     }
 
-    /// `true` iff replica `node` is inside an active partition at tick `t`
-    /// (the latest partition/heal event at or before `t` wins).
-    fn isolated(&self, node: usize, t: u64) -> bool {
-        let mut verdict = false;
-        let mut latest = 0u64;
-        for f in &self.cfg.faults {
-            match f {
-                NetFault::Partition { at, nodes } if *at <= t && *at >= latest => {
-                    latest = *at;
-                    verdict = nodes.contains(&node);
-                }
-                NetFault::Heal { at } if *at <= t && *at >= latest => {
-                    latest = *at;
-                    verdict = false;
-                }
-                _ => {}
-            }
-        }
-        verdict
-    }
-
-    /// `true` iff replica `node` is crashed at tick `t` (the latest
-    /// crash/recover event for that node at or before `t` wins — the same
-    /// rule partitions follow).
-    fn down(&self, node: usize, t: u64) -> bool {
-        let mut verdict = false;
-        let mut latest = 0u64;
-        for f in &self.cfg.faults {
-            match f {
-                NetFault::CrashReplica { at, node: n } if *n == node && *at <= t && *at >= latest => {
-                    latest = *at;
-                    verdict = true;
-                }
-                NetFault::RecoverReplica { at, node: n }
-                    if *n == node && *at <= t && *at >= latest =>
-                {
-                    latest = *at;
-                    verdict = false;
-                }
-                _ => {}
-            }
-        }
-        verdict
-    }
-
-    /// `true` iff a message touching `node`'s links at tick `t` is lost.
-    /// Crashes are checked here — the same send+arrival points as
-    /// partitions — so a crashed replica receives and sends nothing.
-    fn lossy(&self, node: usize, t: u64) -> bool {
-        self.isolated(node, t)
-            || self.down(node, t)
-            || self.cfg.faults.iter().any(|f| {
-                matches!(f, NetFault::Drop { at, until, node: d } if *d == node && *at <= t && t < *until)
-            })
-    }
-
-    /// `true` iff a message on `node`'s links at tick `t` falls inside an
-    /// active [`NetFault::CorruptMessage`] window.
-    fn corrupting_window(&self, node: usize, t: u64) -> bool {
-        self.cfg.faults.iter().any(|f| {
-            matches!(f, NetFault::CorruptMessage { at, until, node: c } if *c == node && *at <= t && t < *until)
-        })
-    }
-
     /// Checksum of message `c`: a splitmix64 digest of `(seed, message id)`,
     /// recomputable by the receiver without carrying payload bytes around.
     fn digest(&self, c: u64) -> u64 {
@@ -170,7 +118,7 @@ impl NetRuntime {
 
     /// Verifies the current message's checksum at arrival on `endpoints`'
     /// links at tick `arrive`. In-flight corruption (the periodic
-    /// `corrupt_every` knob or an active [`NetFault::CorruptMessage`]
+    /// `corrupt_every` knob or an active [`crate::config::NetFault::CorruptMessage`]
     /// window) XORs a nonzero seeded flip into the payload, so the
     /// receiver's recomputed digest can never match; the mismatch is
     /// counted and the message quarantined (`false`) — the caller treats it
@@ -180,7 +128,7 @@ impl NetRuntime {
     fn verify(&self, endpoints: &[usize], arrive: u64) -> bool {
         let periodic =
             self.cfg.corrupt_every > 0 && self.msgs.is_multiple_of(self.cfg.corrupt_every);
-        if !periodic && !endpoints.iter().any(|n| self.corrupting_window(*n, arrive)) {
+        if !periodic && !endpoints.iter().any(|n| self.windows.corrupting(*n, arrive)) {
             return true;
         }
         let expected = self.digest(self.msgs);
@@ -205,7 +153,7 @@ impl NetRuntime {
         obs_local::bump(Counter::NetMsgsSent);
         obs_local::bump(Counter::shard_msgs(self.cfg.shard));
         let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || endpoints.iter().any(|n| self.lossy(*n, sent)) {
+        if periodic_drop || endpoints.iter().any(|n| self.windows.lossy(*n, sent)) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
@@ -217,7 +165,7 @@ impl NetRuntime {
         }
         self.fifo_mark[channel] = arrive;
         // A partition may have started while the message was in flight.
-        if endpoints.iter().any(|n| self.lossy(*n, arrive)) {
+        if endpoints.iter().any(|n| self.windows.lossy(*n, arrive)) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
@@ -351,6 +299,7 @@ impl NetRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetFault;
     use wfa_obs::metrics::MetricsHandle;
 
     fn healthy(nodes: usize) -> NetRuntime {
@@ -499,10 +448,11 @@ mod tests {
             .with_fault(NetFault::CrashReplica { at: 0, node: 2 })
             .with_fault(NetFault::RecoverReplica { at: 50, node: 2 });
         let rt = NetRuntime::new(cfg);
-        assert!(rt.down(2, 0) && rt.down(2, 49), "crash window covers [0, 50)");
-        assert!(!rt.down(2, 50), "recovered at 50");
-        assert!(!rt.down(1, 10), "other replicas unaffected");
-        assert!(rt.lossy(2, 10) && !rt.lossy(2, 60), "crashes cut the links");
+        let w = rt.windows();
+        assert!(w.down(2, 0) && w.down(2, 49), "crash window covers [0, 50)");
+        assert!(!w.down(2, 50), "recovered at 50");
+        assert!(!w.down(1, 10), "other replicas unaffected");
+        assert!(w.lossy(2, 10) && !w.lossy(2, 60), "crashes cut the links");
     }
 
     #[test]

@@ -264,9 +264,8 @@ impl EventRing {
 /// process, one column per [`EventKind::Step`] event (in key order), the
 /// step's op glyph in the stepping process's row and `D` on decide steps.
 ///
-/// This replaces (and matches) the kernel trace's ad-hoc rendering; other
-/// event kinds are not drawn, so the column count equals the effective step
-/// count of the window.
+/// Other event kinds are not drawn, so the column count equals the
+/// effective step count of the window.
 pub fn timeline(events: &[ObsEvent], n_procs: usize) -> String {
     let mut evs: Vec<&ObsEvent> = events
         .iter()

@@ -26,6 +26,7 @@ use wfa::faults::chaos::{
     SoakConfig, SoakReport,
 };
 use wfa::faults::json::Json;
+use wfa::net::windows::FaultWindows;
 
 fn cfg(backend: SoakBackend, ticks: u64) -> SoakConfig {
     let mut c = SoakConfig::new(backend);
@@ -98,6 +99,50 @@ fn e19_injected_bugs_replay_from_their_checkpoint() {
             rep.replayed_ops,
             r.ops
         );
+    }
+}
+
+#[test]
+fn e19_injected_partitions_are_never_healed() {
+    // A long gossip window opened just before the generation cutoff heals
+    // past 85% of the horizon; the injected partition opens after it, so
+    // under latest-event-wins nothing ever closes it.
+    for ticks in [2_000, 10_000] {
+        for seed in 0..2_000 {
+            for backend in [SoakBackend::Net, SoakBackend::Gossip] {
+                for intensity in [Intensity::Calm, Intensity::Mixed, Intensity::Storm] {
+                    let mut c = cfg(backend, ticks);
+                    c.seed = seed;
+                    c.intensity = intensity;
+                    c.inject_bug = true;
+                    let tl = timeline(&c);
+                    let last = FaultWindows::new(&tl.faults, c.nodes).partitions().last().cloned();
+                    let bug = last.expect("the injected partition opens a window");
+                    assert!(
+                        bug.opened_by == tl.faults.len() - 1 && bug.closed_by.is_none(),
+                        "{}/{}/{ticks}/{seed}: the injected partition was healed",
+                        backend.name(),
+                        intensity.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn e19_injected_bugs_past_a_late_heal_are_caught() {
+    // These storm timelines draw a window that heals after 85% of the
+    // horizon, a heal that would close an injected partition opened at that
+    // mark and let the soak come back clean.
+    for seed in [281, 417, 539] {
+        let mut c = cfg(SoakBackend::Gossip, 10_000);
+        c.seed = seed;
+        c.intensity = Intensity::Storm;
+        c.inject_bug = true;
+        let r = soak(&c);
+        let v = r.violation.as_ref().unwrap_or_else(|| panic!("seed {seed}: bug not caught"));
+        assert_eq!(v.kind, "gossip-divergence", "seed {seed}");
     }
 }
 

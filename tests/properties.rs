@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests (proptest) on the core data structures
 //! and invariants: the value model, the register file, the prefix order,
-//! task validators, and the failure-detector reductions.
+//! task validators, the failure-detector reductions, and the network's
+//! fault windows.
 
 use proptest::prelude::*;
 
@@ -10,6 +11,8 @@ use wfa::fd::reduction::{anti_omega_from_vector, omega_from_anti_omega_1, widen_
 use wfa::fd::spec::{check_anti_omega_k, check_omega, check_vector_omega_k};
 use wfa::kernel::memory::{RegKey, SharedMemory};
 use wfa::kernel::value::{Pid, Value};
+use wfa::net::config::NetFault;
+use wfa::net::windows::FaultWindows;
 use wfa::tasks::agreement::SetAgreement;
 use wfa::tasks::renaming::Renaming;
 use wfa::tasks::task::Task;
@@ -32,8 +35,98 @@ fn regkey_strategy() -> impl Strategy<Value = RegKey> {
     (0u16..8, 0u32..4, 0u32..4).prop_map(|(ns, a, b)| RegKey::idx(ns, a, b, 0, 0))
 }
 
+/// Strategy for one network fault over replicas `0..6` (one past the
+/// 5-node cluster the windows are compiled for) at ticks below 50. Ticks
+/// on a coarse grid besides the full range make same-tick ties common.
+fn net_fault_strategy() -> impl Strategy<Value = NetFault> {
+    let tick = prop_oneof![0u64..50, (0u64..5).prop_map(|k| k * 10)];
+    let cut = prop::collection::vec(0usize..6, 0..4);
+    (0u8..6, tick, 0u64..20, 0usize..6, cut).prop_map(|(kind, at, len, node, nodes)| {
+        let until = at + len;
+        match kind {
+            0 => NetFault::Partition { at, nodes },
+            1 => NetFault::Heal { at },
+            2 => NetFault::Drop { at, until, node },
+            3 => NetFault::CorruptMessage { at, until, node },
+            4 => NetFault::CrashReplica { at, node },
+            _ => NetFault::RecoverReplica { at, node },
+        }
+    })
+}
+
+/// The specification `FaultWindows` is checked against: a direct scan of
+/// the fault list in which the latest partition/heal event at or before
+/// `t` wins, and list order breaks ties.
+fn spec_isolated(faults: &[NetFault], node: usize, t: u64) -> bool {
+    let (mut verdict, mut latest) = (false, 0);
+    for f in faults {
+        match f {
+            NetFault::Partition { at, nodes } if *at <= t && *at >= latest => {
+                (verdict, latest) = (nodes.contains(&node), *at);
+            }
+            NetFault::Heal { at } if *at <= t && *at >= latest => (verdict, latest) = (false, *at),
+            _ => {}
+        }
+    }
+    verdict
+}
+
+/// The same scan over `node`'s crash/recover events.
+fn spec_down(faults: &[NetFault], node: usize, t: u64) -> bool {
+    let (mut verdict, mut latest) = (false, 0);
+    for f in faults {
+        match f {
+            NetFault::CrashReplica { at, node: n } if *n == node && *at <= t && *at >= latest => {
+                (verdict, latest) = (true, *at);
+            }
+            NetFault::RecoverReplica { at, node: n } if *n == node && *at <= t && *at >= latest => {
+                (verdict, latest) = (false, *at);
+            }
+            _ => {}
+        }
+    }
+    verdict
+}
+
+/// `true` iff `node` has a link window of the selected kind covering `t`.
+fn spec_link(faults: &[NetFault], node: usize, t: u64, corrupt: bool) -> bool {
+    faults.iter().any(|f| match f {
+        NetFault::Drop { at, until, node: n } if !corrupt => *n == node && *at <= t && t < *until,
+        NetFault::CorruptMessage { at, until, node: n } if corrupt => {
+            *n == node && *at <= t && t < *until
+        }
+        _ => false,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every window query agrees with the latest-event-wins scan at every
+    /// tick, same-tick ties and out-of-range replicas included.
+    #[test]
+    fn fault_windows_match_the_latest_event_wins_scan(
+        faults in prop::collection::vec(net_fault_strategy(), 0..9),
+    ) {
+        let w = FaultWindows::new(&faults, 5);
+        for t in 0..60 {
+            for node in 0..5 {
+                let isolated = spec_isolated(&faults, node, t);
+                let down = spec_down(&faults, node, t);
+                let lossy = isolated || down || spec_link(&faults, node, t, false);
+                let corrupting = spec_link(&faults, node, t, true);
+                let got = (w.isolated(node, t), w.down(node, t), w.lossy(node, t));
+                prop_assert_eq!(
+                    (got, w.corrupting(node, t)),
+                    ((isolated, down, lossy), corrupting),
+                    "node {} at tick {} in {:?}",
+                    node,
+                    t,
+                    faults
+                );
+            }
+        }
+    }
 
     /// Last write wins; reads never mutate.
     #[test]
