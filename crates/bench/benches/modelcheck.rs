@@ -3,7 +3,7 @@
 //! State counts and wall time of the exhaustive explorations backing the
 //! impossibility results: the Lemma-11 refutation pipeline, exhaustive
 //! verification of the register objects, and raw explorer throughput on
-//! larger interleaving graphs, including worker-thread scaling.
+//! larger interleaving graphs.
 //!
 //! Regenerate `BENCH_modelcheck.json` with:
 //! `CRITERION_JSON=bench.json cargo bench -p wfa-bench --bench modelcheck`
@@ -17,7 +17,7 @@ use wfa::kernel::memory::RegKey;
 use wfa::kernel::process::DynProcess;
 use wfa::kernel::process::{Process, Status, StepCtx};
 use wfa::kernel::value::Value;
-use wfa::modelcheck::explorer::{explore_all, Explorer, Limits};
+use wfa::modelcheck::explorer::{explore_all, Limits};
 use wfa::modelcheck::lemma11::refute_strong_2_renaming;
 use wfa::algorithms::renaming::RenamingFig4;
 use wfa::objects::adopt_commit::AdoptCommit;
@@ -164,42 +164,10 @@ fn bench_counters(c: &mut Criterion) {
     g.finish();
 }
 
-/// Worker-thread scaling of the parallel sweep on a fixed instance. The
-/// report is thread-count-invariant (determinism suite), so these entries
-/// measure pure wall-clock scaling of the work-stealing pool.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    if cores < 2 {
-        // Flat numbers here would otherwise read as "the pool does not
-        // scale" when the host simply cannot run two workers at once.
-        eprintln!(
-            "modelcheck/threads: host exposes {cores} core(s); t2/t4/t8 entries measure \
-             oversubscription, not scaling — expect flat or worse wall-clock"
-        );
-    }
-    let mut g = c.benchmark_group("modelcheck/threads");
-    g.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_function(format!("three_counters_t{threads}"), |b| {
-            b.iter(|| {
-                let ex = counters_instance(3, 3);
-                let check = |_: &Executor| None;
-                let report = Explorer::new(ex.pids().collect(), &check, Limits::default())
-                    .threads(threads)
-                    .run(&ex);
-                assert!(report.fully_verified(), "{report:?}");
-                black_box(report.states)
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_lemma11,
     bench_adopt_commit_verification,
-    bench_counters,
-    bench_thread_scaling
+    bench_counters
 );
 criterion_main!(benches);

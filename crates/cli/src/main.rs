@@ -662,10 +662,7 @@ fn obs_source(
                 (0..2).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, 4)))).collect();
             let obs = MetricsHandle::counters();
             let check = |_: &Executor| None;
-            Explorer::new(pids, &check, Limits::default())
-                .threads(threads)
-                .with_metrics(obs.clone())
-                .run(&ex);
+            Explorer::new(pids, &check, Limits::default()).with_metrics(obs.clone()).run(&ex);
             Ok((obs.snapshot().expect("metrics enabled"), Vec::new()))
         }
         // The default `ksa` run over the ABD quorum-replicated backend
@@ -715,8 +712,8 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
          obs summary [--source figure2|sweep|explore|net --seed S --threads T]\n\
          \n\
          \tRuns the fixed-seed source and prints its canonical counter and\n\
-         \thistogram snapshot. The snapshot only carries thread-count\n\
-         \tinvariant metrics, so it is identical for every --threads value.\n\
+         \thistogram snapshot. --threads sizes the sweep source's worker\n\
+         \tpool; its snapshot is identical for every --threads value.\n\
          \n\
          obs export --format jsonl|chrome [--source NAME --seed S --threads T --out FILE]\n\
          \n\

@@ -182,11 +182,9 @@ impl<P: Process> SnapshotCode for RegisterSimCode<P> {
 ///
 /// Builders are configuration, not run state: they must be `Clone + Hash`
 /// (so the embedding automata stay fingerprintable) and deterministic.
-/// `Send + Sync` (on the builder and its codes) lets the embedding automata
-/// cross threads in the parallel model-check explorer.
-pub trait CodeBuilder: Send + Sync {
+pub trait CodeBuilder {
     /// The code type produced.
-    type Code: SnapshotCode + Clone + std::hash::Hash + std::fmt::Debug + Send + Sync + 'static;
+    type Code: SnapshotCode + Clone + std::hash::Hash + std::fmt::Debug + 'static;
 
     /// Builds code `idx` with task input `input`.
     fn build(&self, idx: usize, input: &Value) -> Self::Code;
@@ -198,7 +196,7 @@ pub struct FnBuilder<C>(pub fn(usize, &Value) -> C);
 
 impl<C> CodeBuilder for FnBuilder<C>
 where
-    C: SnapshotCode + Clone + std::hash::Hash + std::fmt::Debug + Send + Sync + 'static,
+    C: SnapshotCode + Clone + std::hash::Hash + std::fmt::Debug + 'static,
 {
     type Code = C;
 

@@ -65,11 +65,6 @@ impl Roles {
     pub fn c_pids(&self) -> Vec<Pid> {
         (0..self.n_c).map(Pid).collect()
     }
-
-    /// All S-process pids.
-    pub fn s_pids(&self) -> Vec<Pid> {
-        (self.n_c..self.n_c + self.n_s).map(Pid).collect()
-    }
 }
 
 /// Step environment wiring the failure detector and the failure pattern into

@@ -328,11 +328,6 @@ impl ShardedBackend {
         ShardedBackend { shards, view: SharedMemory::new() }
     }
 
-    /// Number of replica groups.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The group backend `key` routes to (for tests and displays).
     pub fn shard_of(&self, key: RegKey) -> usize {
         key.shard_index(self.shards.len())

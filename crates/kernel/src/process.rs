@@ -203,11 +203,9 @@ pub trait Process {
 
 /// Object-safe process handle stored by the executor.
 ///
-/// Provided for every `Process + Clone + Hash + Send + Sync + 'static` by a
-/// blanket impl; do not implement it directly. The `Send + Sync` bound is
-/// what lets the parallel model-check explorer move forked runs between
-/// worker threads.
-pub trait DynProcess: Send + Sync {
+/// Provided for every `Process + Clone + Hash + 'static` by a blanket impl;
+/// do not implement it directly.
+pub trait DynProcess {
     /// See [`Process::step`].
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status;
     /// See [`Process::label`].
@@ -224,7 +222,7 @@ pub trait DynProcess: Send + Sync {
 
 impl<T> DynProcess for T
 where
-    T: Process + Clone + Hash + Send + Sync + 'static,
+    T: Process + Clone + Hash + 'static,
 {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
         Process::step(self, ctx)

@@ -1,41 +1,62 @@
-//! Determinism suite: the parallel explorer's report is a pure function of
-//! the instance, independent of worker-thread count.
+//! Determinism suite: the explorer's full report is a pure function of the
+//! instance.
 //!
-//! The explorer's contract (see `explorer.rs` module docs) is that `states`,
-//! `violation`, `undecided_cycle` and `truncated` are identical for every
-//! thread count on non-truncated explorations. This suite pins that contract
-//! on the instances the project actually checks: the Lemma 11 derived
-//! consensus protocols and the racy-counter fixtures.
+//! Each fixture pins its complete [`ExploreReport`]: the state count, the
+//! witness schedule of a violation or an undecided cycle, and the
+//! fingerprint and payload of a caught panic. The pins were recorded from
+//! the explorer's earlier form (a parallel sweep followed by separate
+//! index-order witness searches), so any change to visit order,
+//! terminality or cycle detection shows up here as a moved count or
+//! schedule. The instances are the Lemma 11 derived consensus protocols and
+//! the racy-counter fixtures.
 
 use wfa_kernel::executor::Executor;
 use wfa_kernel::memory::RegKey;
 use wfa_kernel::process::{DynProcess, Process, Status, StepCtx};
-use wfa_kernel::value::Value;
-use wfa_modelcheck::explorer::{ExploreReport, Explorer, Limits};
+use wfa_kernel::value::{Pid, Value};
+use wfa_modelcheck::explorer::{explore_all, k_concurrent_filter, ExploreReport, Explorer, Limits};
 use wfa_modelcheck::lemma11::{
     refute_strong_2_renaming, solo_collision, BoxedAuto, ConsensusViaRenaming,
 };
 
 use wfa_algorithms::renaming::RenamingFig4;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+/// A schedule from process indices.
+fn schedule(pids: &[usize]) -> Vec<Pid> {
+    pids.iter().copied().map(Pid).collect()
+}
 
-/// Runs the explorer at every thread count (plus auto) and asserts all
-/// reports equal the single-threaded one, which is returned.
-fn assert_thread_invariant(
-    label: &str,
-    ex: &Executor,
-    check: &(dyn Fn(&Executor) -> Option<String> + Sync),
-    limits: Limits,
+/// The report of a complete exploration with the given findings.
+fn report(
+    states: u64,
+    violation: Option<(&str, &[usize])>,
+    undecided_cycle: Option<&[usize]>,
 ) -> ExploreReport {
-    let base = Explorer::new(ex.pids().collect(), check, limits).threads(1).run(ex);
-    for threads in THREAD_COUNTS {
-        let r = Explorer::new(ex.pids().collect(), check, limits).threads(threads).run(ex);
-        assert_eq!(r, base, "{label}: report differs at {threads} threads");
+    ExploreReport {
+        states,
+        violation: violation.map(|(reason, s)| (reason.to_string(), schedule(s))),
+        undecided_cycle: undecided_cycle.map(schedule),
+        truncated: false,
+        aborted: None,
     }
-    let auto = Explorer::new(ex.pids().collect(), check, limits).threads(0).run(ex);
-    assert_eq!(auto, base, "{label}: report differs with auto thread count");
-    base
+}
+
+/// Checks `found` against its pin and, when it names a violation, that the
+/// witness schedule reproduces it.
+fn assert_pinned(
+    ex: &Executor,
+    check: &dyn Fn(&Executor) -> Option<String>,
+    found: &ExploreReport,
+    pinned: &ExploreReport,
+) {
+    assert_eq!(found, pinned);
+    if let Some((reason, sched)) = &found.violation {
+        let mut replay = ex.clone();
+        for pid in sched {
+            replay.step(*pid, None);
+        }
+        assert_eq!(check(&replay).as_ref(), Some(reason), "the witness must replay");
+    }
 }
 
 // --- the two_counters fixture (mirrors the explorer's unit tests) ---------
@@ -66,9 +87,9 @@ impl Process for RacyCounter {
     }
 }
 
-fn two_counters(n: u32) -> Executor {
+fn counters(procs: usize, n: u32) -> Executor {
     let mut ex = Executor::new();
-    for _ in 0..2 {
+    for _ in 0..procs {
         ex.add_process(Box::new(RacyCounter { left: n, val: 0, reading: true }));
     }
     ex
@@ -76,47 +97,69 @@ fn two_counters(n: u32) -> Executor {
 
 fn lost_update_check(ex: &Executor) -> Option<String> {
     let both_done = ex.pids().all(|p| !ex.status(p).is_running());
-    let lost = ex
-        .pids()
-        .filter_map(|p| ex.status(p).decision())
-        .all(|v| *v == Value::Int(1));
+    let lost = ex.pids().filter_map(|p| ex.status(p).decision()).all(|v| *v == Value::Int(1));
     (both_done && lost).then(|| "lost update".to_string())
 }
 
-#[test]
-fn two_counters_clean_sweep_is_thread_invariant() {
-    let ex = two_counters(2);
-    let report = assert_thread_invariant("two_counters(2)", &ex, &|_| None, Limits::default());
-    assert!(report.fully_verified(), "{report:?}");
-    assert!(report.states > 10);
+fn no_check(_: &Executor) -> Option<String> {
+    None
 }
 
 #[test]
-fn two_counters_violation_is_thread_invariant() {
-    let ex = two_counters(1);
-    let report =
-        assert_thread_invariant("two_counters(1)", &ex, &lost_update_check, Limits::default());
-    let (reason, sched) = report.violation.expect("lost update must be found");
-    assert_eq!(reason, "lost update");
-    // The witness schedule must actually reproduce the violation.
-    let mut replay = ex.clone();
-    for pid in &sched {
-        replay.step(*pid, None);
-    }
-    assert!(lost_update_check(&replay).is_some());
+fn two_counters_clean_report_is_pinned() {
+    let ex = counters(2, 2);
+    let found = explore_all(&ex, &no_check, Limits::default());
+    assert_pinned(&ex, &no_check, &found, &report(152, None, None));
 }
 
 #[test]
-fn three_counters_stress_is_thread_invariant() {
-    // A larger instance: three racy counters give a wider, deeper graph so
-    // the work-stealing pool genuinely interleaves.
-    let mut ex = Executor::new();
-    for _ in 0..3 {
-        ex.add_process(Box::new(RacyCounter { left: 2, val: 0, reading: true }));
+fn two_counters_violation_report_is_pinned() {
+    let ex = counters(2, 1);
+    let found = explore_all(&ex, &lost_update_check, Limits::default());
+    assert_pinned(
+        &ex,
+        &lost_update_check,
+        &found,
+        &report(31, Some(("lost update", &[0, 1, 0, 0, 1, 1])), None),
+    );
+}
+
+#[test]
+fn one_concurrent_two_counters_report_is_pinned() {
+    // Under 1-concurrency a counter runs alone once admitted, so the lost
+    // update is unreachable and the state space shrinks.
+    let ex = counters(2, 1);
+    let filter = k_concurrent_filter(ex.pids().collect(), 1);
+    let found = Explorer::new(ex.pids().collect(), &lost_update_check, Limits::default())
+        .with_filter(&filter)
+        .run(&ex);
+    assert_pinned(&ex, &lost_update_check, &found, &report(13, None, None));
+}
+
+#[test]
+fn three_counters_report_is_pinned() {
+    let ex = counters(3, 2);
+    let found = explore_all(&ex, &no_check, Limits::default());
+    assert_pinned(&ex, &no_check, &found, &report(8048, None, None));
+}
+
+/// Panics once any process has decided: every complete interleaving trips it.
+fn panicky_check(ex: &Executor) -> Option<String> {
+    if ex.pids().any(|p| ex.status(p).decision().is_some()) {
+        panic!("safety check exploded");
     }
-    let report = assert_thread_invariant("three_counters", &ex, &|_| None, Limits::default());
-    assert!(report.fully_verified(), "{report:?}");
-    assert!(report.states > 1000, "graph too small to stress stealing: {}", report.states);
+    None
+}
+
+#[test]
+fn aborted_report_is_pinned() {
+    let ex = counters(2, 2);
+    let found = explore_all(&ex, &panicky_check, Limits::default());
+    let pinned = ExploreReport {
+        aborted: Some((151800972265191598, "safety check exploded".to_string())),
+        ..report(121, None, None)
+    };
+    assert_eq!(found, pinned);
 }
 
 // --- undecided cycles ------------------------------------------------------
@@ -133,7 +176,7 @@ impl Process for Spinner {
 }
 
 /// Flips a register between 0 and 1 forever (a 2-cycle, plus a decided
-/// bystander so the cycle analysis sees mixed statuses).
+/// bystander so the cycle check sees mixed statuses).
 #[derive(Clone, Hash)]
 struct Flipper {
     next: i64,
@@ -148,21 +191,20 @@ impl Process for Flipper {
 }
 
 #[test]
-fn undecided_cycle_is_thread_invariant() {
+fn self_loop_report_is_pinned() {
     let mut ex = Executor::new();
     ex.add_process(Box::new(Spinner));
-    let report = assert_thread_invariant("spinner", &ex, &|_| None, Limits::default());
-    assert!(report.undecided_cycle.is_some(), "{report:?}");
+    let found = explore_all(&ex, &no_check, Limits::default());
+    assert_pinned(&ex, &no_check, &found, &report(1, None, Some(&[0])));
 }
 
 #[test]
-fn multi_state_cycle_is_thread_invariant() {
+fn multi_state_cycle_report_is_pinned() {
     let mut ex = Executor::new();
     ex.add_process(Box::new(Flipper { next: 0 }));
     ex.add_process(Box::new(RacyCounter { left: 1, val: 0, reading: true }));
-    let report = assert_thread_invariant("flipper+counter", &ex, &|_| None, Limits::default());
-    assert!(report.undecided_cycle.is_some(), "{report:?}");
-    assert!(!report.truncated);
+    let found = explore_all(&ex, &no_check, Limits::default());
+    assert_pinned(&ex, &no_check, &found, &report(12, None, Some(&[0, 0, 0])));
 }
 
 // --- Lemma 11 instances ----------------------------------------------------
@@ -191,28 +233,24 @@ fn consensus_check(ex: &Executor) -> Option<String> {
     None
 }
 
-#[test]
-fn lemma11_derived_consensus_is_thread_invariant() {
-    let ex = derived_consensus(4);
-    let report =
-        assert_thread_invariant("lemma11/fig4", &ex, &consensus_check, Limits::default());
-    // Lemma 11: the derived protocol must fail consensus somehow.
-    assert!(
-        report.violation.is_some() || report.undecided_cycle.is_some(),
-        "derived consensus protocol unexpectedly verified: {report:?}"
-    );
-    assert!(!report.truncated);
+/// Lemma 11: the derived protocol must fail consensus; with the Figure 4
+/// candidate it disagrees.
+fn lemma11_fig4_report() -> ExploreReport {
+    report(81, Some(("disagreement: 1 vs 0", &[0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1])), None)
 }
 
 #[test]
-fn lemma11_full_refutation_pipeline_is_reproducible() {
-    // The public pipeline (auto thread count) must be bit-for-bit
-    // reproducible run-over-run — this is what the paper-facing experiments
-    // and benches rely on.
+fn lemma11_derived_consensus_report_is_pinned() {
+    let ex = derived_consensus(4);
+    let found = explore_all(&ex, &consensus_check, Limits::default());
+    assert_pinned(&ex, &consensus_check, &found, &lemma11_fig4_report());
+}
+
+#[test]
+fn lemma11_full_refutation_pipeline_report_is_pinned() {
     let cand = |i: usize| Box::new(RenamingFig4::new(i, 4)) as Box<dyn DynProcess>;
-    let a = refute_strong_2_renaming(&cand, &[0, 1, 2], Limits::default());
-    let b = refute_strong_2_renaming(&cand, &[0, 1, 2], Limits::default());
-    assert!(a.refuted());
-    assert_eq!(a.colliding, b.colliding);
-    assert_eq!(a.report, b.report);
+    let r = refute_strong_2_renaming(&cand, &[0, 1, 2], Limits::default());
+    assert!(r.refuted());
+    assert_eq!(r.colliding, (0, 1));
+    assert_eq!(r.report, lemma11_fig4_report());
 }

@@ -2,15 +2,11 @@
 //!
 //! # Determinism discipline
 //!
-//! Every metric is declared *deterministic* or not. Deterministic metrics
-//! depend only on the run's inputs (seeds, plans, limits) — never on worker
-//! count or scheduling — and are the only ones included in a
-//! **canonical snapshot** ([`MetricsHandle::snapshot`]), which therefore
-//! serializes to the same bytes for `WFA_THREADS=1` and `=8` (CI-enforced).
-//! Inherently scheduling-dependent quantities (explorer steal counts,
-//! per-batch depths) still exist — they are real performance signals — but
-//! only appear in the *full* snapshot ([`MetricsHandle::snapshot_full`]),
-//! which is documented as non-comparable across thread counts.
+//! Every metric depends only on the run's inputs (seeds, plans, limits) —
+//! never on worker count or scheduling — so a **canonical snapshot**
+//! ([`MetricsHandle::snapshot`]) serializes to the same bytes for
+//! `WFA_THREADS=1` and `=8` (CI-enforced). A new metric must keep that
+//! property; wall-clock timings belong in the benchmark, not here.
 //!
 //! Parallel sweeps follow the `wfa-faults::sweep` index-slot discipline:
 //! each job records into its own registry, and the per-job snapshots are
@@ -69,9 +65,6 @@ pub enum Counter {
     ExplorerStates,
     /// Visited-set hits (a state reached again via another schedule).
     ExplorerDedupeHits,
-    /// Jobs an explorer worker stole from the global frontier
-    /// (**nondeterministic**: depends on worker scheduling).
-    ExplorerSteals,
     /// `(plan, seed)` jobs evaluated by fault sweeps.
     SweepJobs,
     /// Violations found by fault sweeps.
@@ -156,7 +149,7 @@ pub enum Counter {
 }
 
 /// All counters, in canonical export order.
-pub const COUNTERS: [Counter; 52] = [
+pub const COUNTERS: [Counter; 51] = [
     Counter::ScheduleSlots,
     Counter::EffectiveSteps,
     Counter::NullSteps,
@@ -175,7 +168,6 @@ pub const COUNTERS: [Counter; 52] = [
     Counter::SafeAgreementRounds,
     Counter::ExplorerStates,
     Counter::ExplorerDedupeHits,
-    Counter::ExplorerSteals,
     Counter::SweepJobs,
     Counter::SweepViolations,
     Counter::ShrinkReplays,
@@ -233,7 +225,6 @@ impl Counter {
             Counter::SafeAgreementRounds => "safe_agreement_rounds",
             Counter::ExplorerStates => "explorer_states",
             Counter::ExplorerDedupeHits => "explorer_dedupe_hits",
-            Counter::ExplorerSteals => "explorer_steals",
             Counter::SweepJobs => "sweep_jobs",
             Counter::SweepViolations => "sweep_violations",
             Counter::ShrinkReplays => "shrink_replays",
@@ -270,11 +261,6 @@ impl Counter {
         }
     }
 
-    /// `true` iff the counter is thread-count invariant (canonical).
-    pub fn deterministic(&self) -> bool {
-        !matches!(self, Counter::ExplorerSteals)
-    }
-
     /// The per-shard message counter for replica group `shard`; groups
     /// beyond the fourth fold into `net_shard3_msgs`.
     pub fn shard_msgs(shard: usize) -> Counter {
@@ -296,9 +282,6 @@ impl Counter {
 pub enum HistKind {
     /// Recorded schedule length of each fault-sweep job (per-plan cost).
     PlanCost,
-    /// Depth of each state batch an explorer worker expanded
-    /// (**nondeterministic**: depends on how work was split).
-    ShardDepth,
     /// Simulated-network latency (delivery time minus send time) of each
     /// completed quorum operation.
     QuorumLatency,
@@ -308,9 +291,8 @@ pub enum HistKind {
 }
 
 /// All histograms, in canonical export order.
-pub const HISTS: [HistKind; 4] = [
+pub const HISTS: [HistKind; 3] = [
     HistKind::PlanCost,
-    HistKind::ShardDepth,
     HistKind::QuorumLatency,
     HistKind::TimeToRecovery,
 ];
@@ -324,15 +306,9 @@ impl HistKind {
     pub fn name(&self) -> &'static str {
         match self {
             HistKind::PlanCost => "plan_cost",
-            HistKind::ShardDepth => "shard_depth",
             HistKind::QuorumLatency => "quorum_latency",
             HistKind::TimeToRecovery => "time_to_recovery",
         }
-    }
-
-    /// `true` iff the histogram is thread-count invariant (canonical).
-    pub fn deterministic(&self) -> bool {
-        !matches!(self, HistKind::ShardDepth)
     }
 
     fn index(&self) -> usize {
@@ -466,28 +442,15 @@ impl MetricsHandle {
         }
     }
 
-    /// The canonical (deterministic-metrics-only) snapshot; `None` when
-    /// disabled.
+    /// The canonical snapshot; `None` when disabled.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.snap(true)
-    }
-
-    /// The full snapshot, including thread-count-dependent metrics; `None`
-    /// when disabled. Not byte-comparable across worker counts.
-    pub fn snapshot_full(&self) -> Option<Snapshot> {
-        self.snap(false)
-    }
-
-    fn snap(&self, canonical: bool) -> Option<Snapshot> {
         let r = self.0.as_ref()?;
         let counters = COUNTERS
             .iter()
-            .filter(|c| !canonical || c.deterministic())
             .map(|c| (c.name().to_string(), r.counters[c.index()].load(Ordering::Relaxed)))
             .collect();
         let hists = HISTS
             .iter()
-            .filter(|h| !canonical || h.deterministic())
             .map(|h| {
                 let buckets = r.hists[h.index()]
                     .iter()
@@ -715,19 +678,6 @@ mod tests {
         assert_eq!(bucket_floor(0), 0);
         assert_eq!(bucket_floor(1), 1);
         assert_eq!(bucket_floor(3), 4);
-    }
-
-    #[test]
-    fn canonical_snapshot_excludes_nondeterministic_metrics() {
-        let h = MetricsHandle::counters();
-        h.bump(Counter::ExplorerSteals);
-        h.observe(HistKind::ShardDepth, 9);
-        let canon = h.snapshot().unwrap();
-        assert_eq!(canon.counter("explorer_steals"), None);
-        assert!(canon.hists.iter().all(|(n, _)| n != "shard_depth"));
-        let full = h.snapshot_full().unwrap();
-        assert_eq!(full.counter("explorer_steals"), Some(1));
-        assert!(full.hists.iter().any(|(n, _)| n == "shard_depth"));
     }
 
     #[test]

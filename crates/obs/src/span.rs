@@ -79,8 +79,6 @@ pub enum SpanKind {
     ConsensusRound,
     /// One `(plan, seed)` job of a fault sweep.
     SweepJob,
-    /// One explorer work batch (depth-labelled).
-    ExplorerShard,
     /// One quorum-replicated register operation over the simulated network
     /// (duration = simulated network time spent collecting the quorums).
     QuorumOp,
@@ -109,7 +107,6 @@ impl SpanKind {
             SpanKind::SimStep => "sim_step",
             SpanKind::ConsensusRound => "consensus_round",
             SpanKind::SweepJob => "sweep_job",
-            SpanKind::ExplorerShard => "explorer_shard",
             SpanKind::QuorumOp => "quorum_op",
             SpanKind::Channel => "channel",
             SpanKind::ReplicaResync => "replica_resync",

@@ -65,11 +65,6 @@ impl FiniteTask {
         }
         FiniteTask { name: name.into(), m, rows }
     }
-
-    /// All full input vectors of the table.
-    pub fn full_inputs(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter().map(|(i, _)| i.as_slice())
-    }
 }
 
 impl Task for FiniteTask {

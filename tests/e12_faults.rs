@@ -18,7 +18,7 @@ use wfa::kernel::executor::Executor;
 use wfa::kernel::memory::RegKey;
 use wfa::kernel::process::{Process, Status, StepCtx};
 use wfa::kernel::value::Value;
-use wfa::modelcheck::explorer::{explore_all, Explorer, Limits};
+use wfa::modelcheck::explorer::{explore_all, Limits};
 
 fn sweep_json(scenario: &str, depth: usize, threads: usize) -> String {
     let mut config = SweepConfig::new(scenario);
@@ -136,20 +136,3 @@ fn panicking_safety_check_yields_a_partial_report() {
     assert!(!report.fully_verified());
 }
 
-#[test]
-fn aborted_report_is_thread_count_invariant() {
-    let check = |ex: &Executor| -> Option<String> {
-        if ex.pids().any(|p| !ex.status(p).is_running()) {
-            panic!("e12: safety check exploded");
-        }
-        None
-    };
-    let ex = counters();
-    let pids: Vec<_> = ex.pids().collect();
-    let base = Explorer::new(pids.clone(), &check, Limits::default()).threads(1).run(&ex);
-    for n in [2, 8] {
-        let other = Explorer::new(pids.clone(), &check, Limits::default()).threads(n).run(&ex);
-        assert_eq!(base.aborted, other.aborted, "threads={n}");
-        assert_eq!(base.states, other.states, "threads={n}");
-    }
-}
