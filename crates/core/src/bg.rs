@@ -395,12 +395,10 @@ mod tests {
         // but at most one code.
         for stop_at in [3u64, 7, 11, 19, 23, 31, 47] {
             let mut d = Direct::new(2, 4, 4);
-            let mut t = 0u64;
-            for _ in 0..200_000 {
+            for t in 0..200_000u64 {
                 // interleave until stop_at, then only sim 0
                 let s = if t < stop_at { (t % 2) as usize } else { 0 };
                 d.step(s);
-                t += 1;
                 if d.sims[0].all_done() {
                     break;
                 }

@@ -863,7 +863,7 @@ mod tests {
         while g.runtime().now() < until {
             let key = RegKey::new(2).at(0, (mix(op) % 12) as u32);
             let me = Pid((op % 4) as usize);
-            if op % 3 == 0 {
+            if op.is_multiple_of(3) {
                 g.write(me, op, key, Value::Int(op as i64 + 1));
             } else {
                 g.read(me, op, key);

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use wfa_obs::metrics::{Counter, MetricsHandle};
 use wfa_obs::span::{seq, EventKind, ObsEvent, Op};
-use wfa_obs::{local as obs_local};
+use wfa_obs::local as obs_local;
 
 use crate::backend::{Degradation, MemoryBackend, Resolution};
 use crate::memory::SharedMemory;
@@ -237,28 +237,25 @@ impl Executor {
             }
             let proc = Arc::get_mut(&mut slot.proc).expect("uniquely owned after copy-on-write");
             let mut ctx = StepCtx::new(self.backend.as_mut(), fd, now, pid, 1);
-            slot.status = if obs.is_enabled() {
+            if obs.is_enabled() {
                 // Install the recording context so automata (which cannot
                 // hold a handle — they must stay `Clone + Hash`) can record
-                // advice/simulation events through `wfa_obs::local`.
+                // advice/simulation events through `wfa_obs::local`. The
+                // step's own counts go through the context's buffer too, and
+                // reach the registry in one flush when the guard drops.
                 let _guard = obs_local::enter(obs, now, pid.0 as u32);
-                proc.step(&mut ctx)
-            } else {
-                proc.step(&mut ctx)
-            };
-            *slot.fp.get_mut() = None;
-            let decided = matches!(slot.status, Status::Decided(_));
-            if obs.is_enabled() {
+                slot.status = proc.step(&mut ctx);
                 let op = Op::from(ctx.last_op());
-                obs.bump(Counter::EffectiveSteps);
-                obs.bump(match op {
+                let decided = matches!(slot.status, Status::Decided(_));
+                obs_local::bump(Counter::EffectiveSteps);
+                obs_local::bump(match op {
                     Op::None => Counter::OpNone,
                     Op::Read { .. } => Counter::OpReads,
                     Op::Write { .. } => Counter::OpWrites,
                     Op::Snapshot(_) => Counter::OpSnapshots,
                 });
                 if decided {
-                    obs.bump(Counter::Decisions);
+                    obs_local::bump(Counter::Decisions);
                 }
                 obs.record(ObsEvent {
                     time: now,
@@ -266,7 +263,10 @@ impl Executor {
                     seq: seq::STEP,
                     kind: EventKind::Step { op, decided },
                 });
+            } else {
+                slot.status = proc.step(&mut ctx);
             }
+            *slot.fp.get_mut() = None;
             let mut raised = self.backend.drain_degradations();
             if !raised.is_empty() {
                 self.degradations.append(&mut raised);
@@ -441,7 +441,7 @@ mod tests {
             }
             self.left -= 1;
             let key = RegKey::new(1).at(0, (self.acc.unsigned_abs() % 4) as u32);
-            if self.left % 2 == 0 {
+            if self.left.is_multiple_of(2) {
                 if let Value::Int(v) = ctx.read(key) {
                     self.acc = self.acc.wrapping_mul(31).wrapping_add(v);
                 }

@@ -139,8 +139,8 @@ mod tests {
                 let rights = out.iter().filter(|o| **o == SplitterOutcome::Right).count();
                 let downs = out.iter().filter(|o| **o == SplitterOutcome::Down).count();
                 assert!(stops <= 1, "n={n} seed={seed}: {stops} stops");
-                assert!(rights <= n - 1, "n={n} seed={seed}: all went right");
-                assert!(downs <= n - 1, "n={n} seed={seed}: all went down");
+                assert!(rights < n, "n={n} seed={seed}: all went right");
+                assert!(downs < n, "n={n} seed={seed}: all went down");
             }
         }
     }

@@ -18,7 +18,8 @@
 //!
 //! [`local`] carries the current handle through a thread-local so automata
 //! (which must stay `Clone + Hash` for the kernel's `DynProcess`) can record
-//! without holding a handle; [`json`] is the workspace's one canonical JSON
+//! without holding a handle, and buffers their counter adds per thread
+//! until the context ends or a handle is read; [`json`] is the workspace's one canonical JSON
 //! encoder, hoisted from `wfa-faults` (which re-exports it).
 //!
 //! This crate is deliberately dependency-free and sits at the bottom of the

@@ -272,8 +272,10 @@ impl Counter {
         }
     }
 
-    fn index(&self) -> usize {
-        COUNTERS.iter().position(|c| c == self).expect("every counter is listed")
+    /// The counter's slot in [`COUNTERS`] (declaration order is export
+    /// order; a unit test pins that they agree).
+    pub(crate) fn index(&self) -> usize {
+        *self as usize
     }
 }
 
@@ -311,8 +313,9 @@ impl HistKind {
         }
     }
 
+    /// The histogram's slot in [`HISTS`].
     fn index(&self) -> usize {
-        HISTS.iter().position(|h| h == self).expect("every histogram is listed")
+        *self as usize
     }
 }
 
@@ -336,6 +339,9 @@ pub fn bucket_floor(i: usize) -> u64 {
 pub struct Registry {
     counters: [AtomicU64; COUNTERS.len()],
     hists: Vec<[AtomicU64; HIST_BUCKETS]>,
+    /// `false` for counters-only registries, whose ring retains nothing:
+    /// `record` then returns before taking the lock.
+    keeps_events: bool,
     events: Mutex<EventRing>,
 }
 
@@ -344,6 +350,7 @@ impl Registry {
         Registry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: (0..HISTS.len()).map(|_| std::array::from_fn(|_| AtomicU64::new(0))).collect(),
+            keeps_events: event_cap > 0,
             events: Mutex::new(EventRing::new(event_cap)),
         }
     }
@@ -369,7 +376,7 @@ impl std::fmt::Debug for MetricsHandle {
 
 impl MetricsHandle {
     /// The zero-cost disabled handle.
-    pub fn disabled() -> MetricsHandle {
+    pub const fn disabled() -> MetricsHandle {
         MetricsHandle(None)
     }
 
@@ -383,6 +390,21 @@ impl MetricsHandle {
     /// bounded ring.
     pub fn with_events(event_cap: usize) -> MetricsHandle {
         MetricsHandle(Some(Arc::new(Registry::new(event_cap))))
+    }
+
+    /// `true` iff both handles record into the same registry (or both are
+    /// disabled).
+    pub(crate) fn same_registry(&self, other: &MetricsHandle) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    /// `true` iff the registry retains events (`false` when disabled).
+    pub(crate) fn keeps_events(&self) -> bool {
+        self.0.as_ref().is_some_and(|r| r.keeps_events)
     }
 
     /// `true` iff recording is on.
@@ -411,14 +433,16 @@ impl MetricsHandle {
 
     /// Records an event (no-op when disabled or the ring capacity is 0).
     pub fn record(&self, ev: ObsEvent) {
-        if let Some(r) = &self.0 {
+        if let Some(r) = self.0.as_ref().filter(|r| r.keeps_events) {
             let mut ring = r.events.lock().expect("event ring lock");
             ring.push(ev);
         }
     }
 
-    /// The current value of `c` (0 when disabled).
+    /// The current value of `c` (0 when disabled), counting what this
+    /// thread's live recording context has buffered (see [`crate::local`]).
     pub fn get(&self, c: Counter) -> u64 {
+        crate::local::flush();
         match &self.0 {
             Some(r) => r.counters[c.index()].load(Ordering::Relaxed),
             None => 0,
@@ -442,9 +466,11 @@ impl MetricsHandle {
         }
     }
 
-    /// The canonical snapshot; `None` when disabled.
+    /// The canonical snapshot; `None` when disabled. Like [`Self::get`], it
+    /// counts what this thread's live recording context has buffered.
     pub fn snapshot(&self) -> Option<Snapshot> {
         let r = self.0.as_ref()?;
+        crate::local::flush();
         let counters = COUNTERS
             .iter()
             .map(|c| (c.name().to_string(), r.counters[c.index()].load(Ordering::Relaxed)))
@@ -665,6 +691,16 @@ mod tests {
         let (_, buckets) = &s.hists[0];
         // 0 → bucket 0; 5 and 7 → bucket 3 (values 4..8).
         assert_eq!(buckets, &vec![(0, 1), (3, 2)]);
+    }
+
+    #[test]
+    fn indices_follow_declaration_order() {
+        for (i, c) in COUNTERS.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{} is out of place in COUNTERS", c.name());
+        }
+        for (i, h) in HISTS.iter().enumerate() {
+            assert_eq!(*h as usize, i, "{} is out of place in HISTS", h.name());
+        }
     }
 
     #[test]
