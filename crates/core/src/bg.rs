@@ -124,7 +124,7 @@ impl<C: SnapshotCode> BgSim<C> {
 
     /// The local replica's view of code decisions.
     pub fn decisions(&self) -> Vec<Option<Value>> {
-        self.codes.iter().map(SnapshotCode::decision).collect()
+        self.codes.iter().map(|c| c.decision().cloned()).collect()
     }
 
     /// Rounds applied per code (how far the simulated run progressed here).
@@ -176,11 +176,8 @@ impl<C: SnapshotCode> BgSim<C> {
     /// Applies an agreed snapshot for `code` (deterministic replay).
     fn apply(&mut self, code: usize, agreed: Value) {
         obs_local::bump(Counter::SimulatedSteps);
-        let view: Vec<Value> = agreed
-            .as_tuple()
-            .expect("agreed value is a view tuple")
-            .to_vec();
-        let new_state = self.codes[code].on_snapshot(&view);
+        let view = agreed.as_tuple().expect("agreed value is a view tuple");
+        let new_state = self.codes[code].on_snapshot(view);
         self.states[code] = new_state;
         self.rounds[code] += 1;
         self.blocked.iter_mut().for_each(|b| *b = false);
@@ -189,7 +186,7 @@ impl<C: SnapshotCode> BgSim<C> {
     fn my_status(&self) -> Status {
         if let Some(w) = self.watch {
             if let Some(v) = self.codes[w].decision() {
-                return Status::Decided(v);
+                return Status::Decided(v.clone());
             }
         } else if self.all_done() {
             return Status::Halted;

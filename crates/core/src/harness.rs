@@ -165,21 +165,36 @@ impl<F: FdSource> EfdRun<F> {
     }
 
     /// Executes until every C-process has decided (returning the schedule
-    /// slots consumed) or the budget runs out (`None`). S-processes never
-    /// halt, so plain [`EfdRun::run`] always exhausts its budget; use this
-    /// for latency measurements.
+    /// slots consumed) or the budget runs out or the schedule ends (`None`).
+    /// S-processes never halt, so plain [`EfdRun::run`] always exhausts its
+    /// budget; use this for latency measurements.
     pub fn run_until_decided(&mut self, sched: &mut dyn Scheduler, budget: u64) -> Option<u64> {
-        let chunk = 64;
+        let decided = |run: &Self| run.executor.all_decided((0..run.roles.n_c).map(Pid));
+        let (used, _) = self.run_until(sched, budget, decided);
+        decided(self).then_some(used)
+    }
+
+    /// Executes in 64-slot chunks until `done` holds before a chunk, the
+    /// budget runs out or the schedule ends. Returns the slots used (whole
+    /// chunks) and the stop reason of the last chunk (`BudgetExhausted` if
+    /// none ran).
+    fn run_until(
+        &mut self,
+        sched: &mut dyn Scheduler,
+        budget: u64,
+        done: impl Fn(&Self) -> bool,
+    ) -> (u64, StopReason) {
         let mut used = 0;
-        while used < budget {
-            if self.undecided().is_empty() {
-                return Some(used);
-            }
-            let step = chunk.min(budget - used);
-            self.run(sched, step);
+        let mut stop = StopReason::BudgetExhausted;
+        while used < budget && !done(self) {
+            let step = 64.min(budget - used);
+            stop = self.run(sched, step);
             used += step;
+            if stop == StopReason::ScheduleEnded {
+                break;
+            }
         }
-        self.undecided().is_empty().then_some(used)
+        (used, stop)
     }
 
     /// A fair scheduler over all processes, seeded.
@@ -444,9 +459,21 @@ pub fn wait_freedom_ensemble(
                 stops.push((run.roles.c(i), rng.gen_range(0..cfg.stab * 2)));
             }
         }
+        let stopped: Vec<Pid> = stops.iter().map(|(p, _)| *p).collect();
         let base = run.fair_sched(seed ^ 0xdead);
         let mut sched = Starve::new(base, stops.clone());
-        let stop = run.run(&mut sched, cfg.budget);
+        // Stop once the outcome is fixed: every stop time has passed and
+        // every C-process that is not stopped has decided or halted. No
+        // C-process steps again, so the outputs and C step counts are final
+        // and the rest of the budget would be idle S-steps; the last chunk
+        // reports the stop reason a full run would.
+        let last_stop = stops.iter().map(|(_, t)| *t).max().unwrap_or(0);
+        let (_, stop) = run.run_until(&mut sched, cfg.budget, |run| {
+            run.executor.clock() >= last_stop
+                && run.roles.c_pids().iter().all(|p| {
+                    stopped.contains(p) || !run.executor.status(*p).is_running()
+                })
+        });
         let report = RunReport::evaluate(&run, task.as_ref(), &input, stop);
         if let Err(error) = report.validate() {
             violations.push(EnsembleViolation::Safety {
@@ -456,7 +483,6 @@ pub fn wait_freedom_ensemble(
                 stops: stops.clone(),
             });
         }
-        let stopped: Vec<Pid> = stops.iter().map(|(p, _)| *p).collect();
         for (i, part) in participants.iter().enumerate().take(n) {
             let pid = run.roles.c(i);
             if *part && !stopped.contains(&pid) && report.output[i].is_unit() {

@@ -20,6 +20,19 @@
 //!   it is what lets a single stable position shepherd every code to a
 //!   decision one after another, giving wait-freedom for all C-processes).
 //!
+//! Applying an agreed round is one call into the code: the view's states
+//! tuple, followed by one pseudo-state carrying the mirrored registers, is
+//! the code's snapshot, and the code returns its new state (inputs the view
+//! fixes are adopted first). For a [`crate::code::RegisterSimCode`] that is
+//! one pass over the snapshot to rebuild the register contents, one inner
+//! step, and — when that step's single operation was a write that changed a
+//! register — one new timestamped record; see [`crate::code`].
+//!
+//! Deciding what to do in a step allocates nothing: the active set, the
+//! codes a party leads (the targets of the leader slots it holds) and the
+//! undecided codes are iterators over the replica, and the keys a proposal
+//! snapshots are built once per party.
+//!
 //! Instantiations:
 //! * `n` codes with `window = k` and codes = [`crate::code::RegisterSimCode`] of an
 //!   algorithm `A` that solves a task k-concurrently — this **is** the
@@ -67,8 +80,9 @@ fn board_val(round: u32, state: &Value) -> Value {
     Value::tuple([Value::Int(round as i64 + 1), state.clone()])
 }
 
-fn board_fields(v: &Value) -> Option<(u32, Value)> {
-    Some(((v.get(0)?.as_int()? - 1) as u32, v.get(1)?.clone()))
+/// A board slot's round and state.
+fn board_fields(v: &Value) -> Option<(i64, &Value)> {
+    Some((v.get(0)?.as_int()? - 1, v.get(1)?))
 }
 
 /// The replicated, deterministic part of the engine (identical at every
@@ -96,7 +110,7 @@ impl<B: CodeBuilder> Replica<B> {
         }
     }
 
-    fn decision(&self, code: usize) -> Option<Value> {
+    fn decision(&self, code: usize) -> Option<&Value> {
         self.codes[code].as_ref().and_then(SnapshotCode::decision)
     }
 
@@ -104,12 +118,9 @@ impl<B: CodeBuilder> Replica<B> {
     /// the agreed value: the view fixes both the snapshot and the inputs.
     fn apply(&mut self, code: usize, agreed: &Value) {
         obs_local::bump(Counter::SimulatedSteps);
-        let mut states = agreed.get(0).and_then(Value::as_tuple).expect("view states").to_vec();
-        let inputs = agreed.get(1).and_then(Value::as_tuple).expect("view inputs").to_vec();
-        if let Some(env) = agreed.get(2) {
-            states.push(env.clone()); // pseudo-state slot carrying env writes
-        }
-        for (mine, seen) in self.inputs.iter_mut().zip(&inputs).take(self.n_codes) {
+        let states = agreed.get(0).and_then(Value::as_tuple).expect("view states");
+        let inputs = agreed.get(1).and_then(Value::as_tuple).expect("view inputs");
+        for (mine, seen) in self.inputs.iter_mut().zip(inputs).take(self.n_codes) {
             if mine.is_unit() && !seen.is_unit() {
                 *mine = seen.clone();
             }
@@ -122,30 +133,30 @@ impl<B: CodeBuilder> Replica<B> {
             }
             self.codes[code] = Some(self.builder.build(code, &self.inputs[code]));
         }
-        let new_state = self.codes[code].as_mut().expect("built above").on_snapshot(&states);
+        // The codes' states plus the pseudo-state slot carrying env writes.
+        let mut snap = Vec::with_capacity(states.len() + 1);
+        snap.extend_from_slice(states);
+        snap.extend(agreed.get(2).cloned());
+        let new_state = self.codes[code].as_mut().expect("built above").on_snapshot(&snap);
         self.states[code] = new_state;
         self.rounds[code] += 1;
     }
 
+    /// The codes not decided yet, in id order.
+    fn undecided(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.n_codes).filter(|c| self.decision(*c).is_none())
+    }
+
     /// The codes this replica believes are participating and undecided, in
     /// id order, capped at `window` — the active set.
-    fn active(&self, window: usize, seen_inputs: &[Value]) -> Vec<usize> {
-        (0..self.n_codes)
-            .filter(|i| {
-                (!self.inputs[*i].is_unit() || !seen_inputs[*i].is_unit())
-                    && self.decision(*i).is_none()
-            })
+    fn active<'a>(
+        &'a self,
+        window: usize,
+        seen_inputs: &'a [Value],
+    ) -> impl Iterator<Item = usize> + Clone + 'a {
+        self.undecided()
+            .filter(|i| !self.inputs[*i].is_unit() || !seen_inputs[*i].is_unit())
             .take(window)
-            .collect()
-    }
-}
-
-/// Which code a leader slot `w` currently drives.
-fn slot_target(active: &[usize], w: usize) -> Option<usize> {
-    if active.is_empty() {
-        None
-    } else {
-        Some(active[w % active.len()])
     }
 }
 
@@ -168,9 +179,11 @@ struct EngineCore<B: CodeBuilder> {
     n_sims: usize,
     window: usize,
     replica: Replica<B>,
-    /// Real registers mirrored into the simulation (their values enter every
-    /// agreed view as high-timestamp pseudo-writes — see `crate::lift`).
-    env_keys: Vec<RegKey>,
+    /// What a proposal snapshots: every board slot, the input board, then
+    /// the real registers mirrored into the simulation (their values enter
+    /// every agreed view as high-timestamp pseudo-writes — see
+    /// `crate::lift`).
+    view_keys: Vec<RegKey>,
     /// Inject the first published input as every code's input (colorless
     /// tasks, Theorem 7).
     colorless: bool,
@@ -190,13 +203,17 @@ impl<B: CodeBuilder> EngineCore<B> {
         window: usize,
         builder: B,
     ) -> EngineCore<B> {
+        let view_keys = (0..n_parties)
+            .flat_map(|p| (0..n_codes as u32).map(move |c| kcs_board_key(p, c)))
+            .chain((0..n_sims).map(boards::input_key))
+            .collect();
         EngineCore {
             party,
             n_parties,
             n_sims,
             window,
             replica: Replica::new(n_codes, builder),
-            env_keys: Vec::new(),
+            view_keys,
             colorless: false,
             seen_inputs: vec![Value::Unit; n_sims],
             rotation: 0,
@@ -205,36 +222,38 @@ impl<B: CodeBuilder> EngineCore<B> {
         }
     }
 
-    fn board_and_input_keys(&self) -> Vec<RegKey> {
-        let n_codes = self.replica.n_codes as u32;
-        (0..self.n_parties)
-            .flat_map(move |p| (0..n_codes).map(move |c| kcs_board_key(p, c)))
-            .chain((0..self.n_sims).map(boards::input_key))
-            .chain(self.env_keys.iter().copied())
-            .collect()
+    /// Where the mirrored registers start in `view_keys` and in a proposal's
+    /// snapshot.
+    fn env_start(&self) -> usize {
+        self.n_parties as usize * self.replica.n_codes + self.n_sims
+    }
+
+    /// Mirrors `keys` into every agreed view.
+    fn set_env_keys(&mut self, keys: Vec<RegKey>) {
+        self.view_keys.truncate(self.env_start());
+        self.view_keys.extend(keys);
     }
 
     /// Assembles the proposal view from a raw snapshot of board + inputs.
     fn assemble_view(&mut self, raw: &[Value]) -> Value {
         let n_codes = self.replica.n_codes;
         let board_len = (self.n_parties as usize) * n_codes;
-        let mut best: Vec<(i64, Value)> = (0..n_codes)
-            .map(|c| {
-                if self.replica.rounds[c] > 0 {
-                    (self.replica.rounds[c] as i64 - 1, self.replica.states[c].clone())
-                } else {
-                    (-1, Value::Unit)
-                }
-            })
-            .collect();
-        for (i, v) in raw[..board_len].iter().enumerate() {
-            let c = i % n_codes;
-            if let Some((round, state)) = board_fields(v) {
-                if (round as i64) > best[c].0 {
-                    best[c] = (round as i64, state);
+        // Per code, the state of its latest round: the replica's own, or a
+        // later one from some party's board slot.
+        let states = Value::tuple((0..n_codes).map(|c| {
+            let mut best = match self.replica.rounds[c] {
+                0 => (-1, &Value::Unit),
+                r => (r as i64 - 1, &self.replica.states[c]),
+            };
+            for v in raw[c..board_len].iter().step_by(n_codes) {
+                if let Some((round, state)) = board_fields(v) {
+                    if round > best.0 {
+                        best = (round, state);
+                    }
                 }
             }
-        }
+            best.1.clone()
+        }));
         let raw_inputs = &raw[board_len..board_len + self.n_sims];
         let mut inputs = vec![Value::Unit; n_codes];
         for (i, v) in raw_inputs.iter().enumerate() {
@@ -263,41 +282,52 @@ impl<B: CodeBuilder> EngineCore<B> {
         // Mirrored environment registers enter the view as pseudo-writes with
         // a dominant timestamp (real registers here are write-once boards).
         let env = Value::tuple(
-            self.env_keys
+            self.view_keys[self.env_start()..]
                 .iter()
-                .zip(&raw[board_len + self.n_sims..])
+                .zip(&raw[self.env_start()..])
                 .filter(|(_, v)| !v.is_unit())
                 .map(|(k, v)| encode_write(k, u64::MAX / 2, v)),
         );
-        Value::tuple([
-            Value::tuple(best.into_iter().map(|(_, s)| s)),
-            Value::tuple(inputs),
-            env,
-        ])
+        Value::tuple([states, Value::tuple(inputs), env])
     }
 
-    fn active(&self) -> Vec<usize> {
+    fn active(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         self.replica.active(self.window, &self.seen_inputs)
     }
 
+    /// Where the codes this party leads sit in the active set, in the order
+    /// of the leader slots `slots` it holds, each once. Slot `w` drives the
+    /// active code at position `w mod |active|`. Active codes are
+    /// undecided, so every lead is.
+    fn lead_positions(
+        &self,
+        slots: impl Iterator<Item = usize> + Clone,
+    ) -> impl Iterator<Item = usize> + Clone {
+        let len = self.active().count();
+        let positions = slots.filter(move |_| len > 0).map(move |w| w % len);
+        let earlier = positions.clone();
+        positions
+            .enumerate()
+            .filter(move |(i, p)| !earlier.clone().take(*i).any(|q| q == *p))
+            .map(|(_, p)| p)
+    }
+
     /// One engine step: either continue the current activity or start a new
-    /// one. `leads` gives the codes this party currently leads.
-    fn step(&mut self, ctx: &mut StepCtx<'_>, leads: &[usize]) {
+    /// one. `slots` gives the leader slots this party currently holds.
+    fn step(&mut self, ctx: &mut StepCtx<'_>, slots: impl Iterator<Item = usize> + Clone) {
         match self.activity.take() {
             None => {
                 // Priority: lead a code we own; otherwise replay decisions.
                 self.rotation = self.rotation.wrapping_add(1);
-                let owned: Vec<usize> = leads
-                    .iter()
-                    .copied()
-                    .filter(|c| self.replica.decision(*c).is_none())
-                    .collect();
-                if !owned.is_empty() && self.rotation.is_multiple_of(2) {
-                    let code = owned[(self.rotation / 2) as usize % owned.len()];
+                let mut leads = self.lead_positions(slots);
+                let owned = leads.clone().count();
+                if owned > 0 && self.rotation.is_multiple_of(2) {
+                    let pick = (self.rotation / 2) as usize % owned;
+                    let at = leads.nth(pick).expect("counted above");
+                    let code = self.active().nth(at).expect("a lead is active");
                     let round = self.replica.rounds[code];
                     // Assemble a proposal (one snapshot op) and start ballots.
-                    let raw = self.board_and_input_keys();
-                    let snap = ctx.snapshot(&raw);
+                    let snap = ctx.snapshot(&self.view_keys);
                     let view = self.assemble_view(&snap);
                     let agent = BallotAgent::new(
                         kcs_inst(code, round),
@@ -318,14 +348,13 @@ impl<B: CodeBuilder> EngineCore<B> {
                     }
                 } else {
                     // Replay: poll the next round of some undecided code.
-                    let undecided: Vec<usize> = (0..self.replica.n_codes)
-                        .filter(|c| self.replica.decision(*c).is_none())
-                        .collect();
-                    if undecided.is_empty() {
+                    let undecided = self.replica.undecided().count();
+                    if undecided == 0 {
                         let _ = ctx.read(boards::input_key(0));
                         return;
                     }
-                    let idx = undecided[self.rotation as usize % undecided.len()];
+                    let pick = self.rotation as usize % undecided;
+                    let idx = self.replica.undecided().nth(pick).expect("counted above");
                     let raw =
                         ctx.read(boards::decision_key(kcs_inst(idx, self.replica.rounds[idx])));
                     if let Some(agreed) = boards::read_decision(&raw) {
@@ -337,7 +366,10 @@ impl<B: CodeBuilder> EngineCore<B> {
             Some(Activity::Ballot { code, round, mut agent }) => {
                 // Abandon the ballot if the round was already replayed or we
                 // no longer lead the code.
-                if self.replica.rounds[code] != round || !leads.contains(&code) {
+                let still_leads = self.active().position(|c| c == code).is_some_and(|at| {
+                    self.lead_positions(slots).any(|p| p == at)
+                });
+                if self.replica.rounds[code] != round || !still_leads {
                     let _ = ctx.read(boards::decision_key(kcs_inst(code, round)));
                     return;
                 }
@@ -417,7 +449,7 @@ impl<B: CodeBuilder> KcsSimC<B> {
 
     /// Mirrors real registers into every agreed view (see module docs).
     pub fn with_env_keys(mut self, keys: Vec<RegKey>) -> Self {
-        self.core.env_keys = keys;
+        self.core.set_env_keys(keys);
         self
     }
 
@@ -435,7 +467,7 @@ impl<B: CodeBuilder> KcsSimC<B> {
     }
 
     /// The decision this simulator would return right now, per its mode.
-    fn my_decision(&self) -> Option<Value> {
+    fn my_decision(&self) -> Option<&Value> {
         if self.adopt_any {
             (0..self.core.replica.n_codes).find_map(|c| self.core.replica.decision(c))
         } else if self.sim_idx < self.core.replica.n_codes {
@@ -445,22 +477,15 @@ impl<B: CodeBuilder> KcsSimC<B> {
         }
     }
 
-    /// Codes this simulator leads under the `|pars| ≤ k` fast path.
-    fn my_leads(&self) -> Vec<usize> {
-        let pars: Vec<usize> = (0..self.core.n_sims)
-            .filter(|i| !self.core.seen_inputs[*i].is_unit() || *i == self.sim_idx)
-            .collect();
-        if pars.len() > self.k {
-            return Vec::new();
+    /// The leader slot this simulator holds under the `|pars| ≤ k` fast
+    /// path: its position among the participants it knows of.
+    fn my_slot(&self) -> Option<usize> {
+        let seen = &self.core.seen_inputs;
+        let pars = |i: &usize| !seen[*i].is_unit() || *i == self.sim_idx;
+        if (0..self.core.n_sims).filter(pars).count() > self.k {
+            return None;
         }
-        let active = self.core.active();
-        let mut leads = Vec::new();
-        if let Some(w) = pars.iter().position(|p| *p == self.sim_idx) {
-            if let Some(c) = slot_target(&active, w) {
-                leads.push(c);
-            }
-        }
-        leads
+        Some((0..self.sim_idx).filter(pars).count())
     }
 }
 
@@ -473,12 +498,12 @@ impl<B: CodeBuilder + Clone + std::hash::Hash + 'static> Process for KcsSimC<B> 
             return Status::Running;
         }
         if let Some(v) = self.my_decision() {
-            return Status::Decided(v);
+            return Status::Decided(v.clone());
         }
-        let leads = self.my_leads();
-        self.core.step(ctx, &leads);
+        let slot = self.my_slot();
+        self.core.step(ctx, slot.into_iter());
         match self.my_decision() {
-            Some(v) => Status::Decided(v),
+            Some(v) => Status::Decided(v.clone()),
             None => Status::Running,
         }
     }
@@ -524,7 +549,7 @@ impl<B: CodeBuilder> KcsSimS<B> {
 
     /// Mirrors real registers into every agreed view (see module docs).
     pub fn with_env_keys(mut self, keys: Vec<RegKey>) -> Self {
-        self.core.env_keys = keys;
+        self.core.set_env_keys(keys);
         self
     }
 
@@ -533,29 +558,16 @@ impl<B: CodeBuilder> KcsSimS<B> {
         self.core.colorless = true;
         self
     }
-
-    /// Codes this S-process leads per its current advice vector.
-    fn my_leads(&self, fd: Option<&Value>) -> Vec<usize> {
-        let Some(vec) = fd.and_then(Value::as_tuple) else { return Vec::new() };
-        let active = self.core.active();
-        let mut leads = Vec::new();
-        for (w, v) in vec.iter().take(self.k).enumerate() {
-            if v.as_int() == Some(self.sidx as i64) {
-                if let Some(c) = slot_target(&active, w) {
-                    if !leads.contains(&c) {
-                        leads.push(c);
-                    }
-                }
-            }
-        }
-        leads
-    }
 }
 
 impl<B: CodeBuilder + Clone + std::hash::Hash + 'static> Process for KcsSimS<B> {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
-        let leads = self.my_leads(ctx.fd());
-        self.core.step(ctx, &leads);
+        // The leader slots are the advice vector's positions naming us.
+        let fd = ctx.fd().cloned();
+        let me = Some(self.sidx as i64);
+        let slots = fd.as_ref().and_then(Value::as_tuple).into_iter().flatten().take(self.k);
+        let slots = slots.enumerate().filter(|(_, v)| v.as_int() == me).map(|(w, _)| w);
+        self.core.step(ctx, slots);
         Status::Running
     }
 

@@ -335,18 +335,18 @@ impl FdGen {
             }
             FdKind::VectorOmegaK { k, pos, leader, adversarial } => {
                 let (k, pos, leader, adversarial) = (*k, *pos, *leader, *adversarial);
-                let mut vec: Vec<i64> = if adversarial {
+                let mut vec: Vec<Value> = if adversarial {
                     // Rotate all positions with the query count: position w
                     // names a different process on every consecutive query.
                     let base = self.history.len() as i64;
-                    (0..k).map(|w| (base + w as i64) % n as i64).collect()
+                    (0..k).map(|w| Value::Int((base + w as i64) % n as i64)).collect()
                 } else {
-                    (0..k).map(|_| self.random_sidx() as i64).collect()
+                    (0..k).map(|_| Value::Int(self.random_sidx() as i64)).collect()
                 };
                 if t >= self.stab {
-                    vec[pos] = leader as i64;
+                    vec[pos] = Value::Int(leader as i64);
                 }
-                Value::ints(vec)
+                Value::tuple(vec)
             }
             FdKind::ByPattern { f, .. } => f(&self.pattern, q, t),
             FdKind::Scripted { .. } => unreachable!("handled above"),

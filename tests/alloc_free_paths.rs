@@ -1,16 +1,25 @@
-//! The healthy message path allocates nothing.
+//! The healthy message path allocates nothing, and a Figure-2 run
+//! allocates a pinned amount.
 //!
 //! A healthy ABD read is two quorum phases over the simulated network, and
 //! a quiescent gossip round is one digest exchange per replica pair. Both
 //! run in every step of the replicated substrates, so both reuse buffers
 //! their owner keeps warm instead of allocating per round. This suite
 //! counts heap allocations per thread with a counting global allocator and
-//! pins the steady state at zero. It times nothing, so it holds on any
-//! host.
+//! pins the steady state at zero. A Theorem-9 run allocates for every value
+//! it proposes, writes and agrees on; its exact count is pinned so that an
+//! allocation added to the Figure-2 step shows. It times nothing, so it
+//! holds on any host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
+use wfa::core::harness::EfdRun;
+use wfa::core::solver::{theorem9_system, AdoptingTaskBuilder};
+use wfa::fd::detectors::FdGen;
+use wfa::fd::pattern::FailurePattern;
 use wfa::gossip::backend::GossipBackend;
 use wfa::gossip::config::GossipConfig;
 use wfa::kernel::backend::MemoryBackend;
@@ -18,6 +27,7 @@ use wfa::kernel::memory::RegKey;
 use wfa::kernel::value::{Pid, Value};
 use wfa::net::abd::AbdBackend;
 use wfa::net::config::NetConfig;
+use wfa::tasks::agreement::SetAgreement;
 
 thread_local! {
     /// Allocations made by this thread so far. A const-initialised `Cell`
@@ -102,4 +112,22 @@ fn quiescent_gossip_rounds_allocate_nothing() {
     // Every exchange was a two-message digest hit.
     assert_eq!(g.messages_sent() - sent, 10 * 4 * 2);
     assert_eq!(allocs, 0, "10 quiescent gossip rounds allocated");
+}
+
+#[test]
+fn theorem9_ksa_run_allocation_count_is_pinned() {
+    // One fixed-seed Theorem-9 run: ksa with n = 3, k = 2 through adopting
+    // codes under →Ω2, run until every C-process has decided.
+    let (n, k) = (3usize, 2usize);
+    let task = SetAgreement::new(n, k);
+    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+    let (c, s) = theorem9_system(n, k, &inputs, AdoptingTaskBuilder::new(Arc::new(task)));
+    let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, 100, 1);
+    let mut run = EfdRun::new(c, s, fd);
+    let mut sched = run.fair_sched(1);
+    let mut slots = None;
+    let allocs = allocations(|| slots = run.run_until_decided(&mut sched, 10_000_000));
+    assert_eq!(slots, Some(2560));
+    assert_eq!(run.output_vector(), vec![Value::Int(1); n]);
+    assert_eq!(allocs, 7552, "allocations of the run");
 }

@@ -30,7 +30,7 @@ impl SnapshotCode for Counter {
         Value::Int(self.count)
     }
 
-    fn decision(&self) -> Option<Value> {
+    fn decision(&self) -> Option<&Value> {
         None
     }
 }

@@ -52,7 +52,7 @@ fn e3_decisions_flow_through_the_black_box() {
         let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, 100, seed);
         let mut run = EfdRun::new(c, s, fd);
         let mut sched = run.fair_sched(seed ^ 0x3);
-        run.run(&mut sched, 9_000_000);
+        run.run_until_decided(&mut sched, 9_000_000);
         let out = run.output_vector();
         assert!(out.iter().all(|v| !v.is_unit()), "undecided: {out:?}");
         let distinct = distinct_values(&out);
