@@ -178,11 +178,11 @@ impl<F: FdSource> EfdRun<F> {
     /// budget runs out or the schedule ends. Returns the slots used (whole
     /// chunks) and the stop reason of the last chunk (`BudgetExhausted` if
     /// none ran).
-    fn run_until(
+    pub fn run_until(
         &mut self,
         sched: &mut dyn Scheduler,
         budget: u64,
-        done: impl Fn(&Self) -> bool,
+        mut done: impl FnMut(&Self) -> bool,
     ) -> (u64, StopReason) {
         let mut used = 0;
         let mut stop = StopReason::BudgetExhausted;

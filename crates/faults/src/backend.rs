@@ -5,7 +5,7 @@
 //! or the delta-CRDT gossip substrate — together with its shape.
 //! [`BackendSpec::build`] is the single place a spec becomes a
 //! [`MemoryBackend`]: it derives the network seed from the run seed,
-//! installs the fault plan's network faults, shards ABD, and wires gossip
+//! adds the fault plan's network faults, shards ABD, and wires gossip
 //! over its network. Scenarios, the CLI and the bench drivers all build
 //! through it, so a run seed names the same network everywhere and a
 //! violation artifact replays it exactly.
@@ -21,8 +21,9 @@ use wfa_net::config::{NetConfig, NetFault, ShardMap};
 
 /// The substrate and shape of a run's register file.
 ///
-/// The `seed` and `faults` of the configs a spec carries are placeholders:
-/// [`BackendSpec::build`] replaces both.
+/// The `seed` of the configs a spec carries is a placeholder that
+/// [`BackendSpec::build`] replaces; their `faults` are the scenario's own,
+/// which every run keeps ahead of its plan's faults.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum BackendSpec {
     /// The in-process shared memory of the base model (§2.1).
@@ -32,7 +33,7 @@ pub enum BackendSpec {
     /// `RegKey::shard_index`, and every cluster gets the same faults,
     /// addressed by group-local replica index.
     Net {
-        /// Replica count, link timing and corruption knobs.
+        /// Replica count, link timing and the scenario's own faults.
         cfg: NetConfig,
         /// Independent replica groups.
         shards: usize,
@@ -62,14 +63,14 @@ impl BackendSpec {
         }
     }
 
-    /// Builds the backend for run `seed` with the network `faults` (ignored
-    /// on shared memory, which has no network). The network seed is
-    /// `seed ^ 0x7e7`, so every caller that shares a run seed shares the
-    /// network's delay draws.
+    /// Builds the backend for run `seed` with the network `faults` after
+    /// the spec's own (both ignored on shared memory, which has no
+    /// network). The network seed is `seed ^ 0x7e7`, so every caller that
+    /// shares a run seed shares the network's delay draws.
     pub fn build(&self, seed: u64, faults: &[NetFault]) -> Box<dyn MemoryBackend> {
         let seeded = |cfg: &NetConfig| NetConfig {
             seed: seed ^ 0x7e7,
-            faults: faults.to_vec(),
+            faults: [cfg.faults.as_slice(), faults].concat(),
             ..cfg.clone()
         };
         match self {
@@ -87,7 +88,8 @@ impl BackendSpec {
 
 /// `shm`, `net(N[,reorder][,corrupt=C][,shards=S])` or
 /// `gossip(N)`: the replica count plus every knob the catalog scenarios set
-/// away from its default.
+/// away from its default (`corrupt=C` names the stride of the spec's own
+/// corruption windows).
 impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -97,8 +99,12 @@ impl fmt::Display for BackendSpec {
                 if !cfg.fifo {
                     write!(f, ",reorder")?;
                 }
-                if cfg.corrupt_every > 0 {
-                    write!(f, ",corrupt={}", cfg.corrupt_every)?;
+                let stride = cfg.faults.iter().find_map(|fault| match fault {
+                    NetFault::CorruptMessage { every, .. } => Some(every),
+                    _ => None,
+                });
+                if let Some(every) = stride {
+                    write!(f, ",corrupt={every}")?;
                 }
                 if *shards > 1 {
                     write!(f, ",shards={shards}")?;

@@ -5,7 +5,7 @@
 //! chaos engine *soaks*: one long run (10k+ backend ticks) per backend with
 //! a seeded stream of composed faults drawn from a per-backend menu —
 //! replica crash/recover pairs (under the configured durability), minority
-//! partitions with heals, loss/dup/corrupt windows, and — in storm phases —
+//! partitions with heals, loss/corrupt windows, and — in storm phases —
 //! heal-bounded majority partitions that are *expected* to degrade and then
 //! recover. Read-only freeze windows model frozen failure detectors and
 //! delayed advice uniformly across backends (on shared memory they are the
@@ -324,7 +324,12 @@ pub fn timeline(cfg: &SoakConfig) -> Timeline {
                 tl.faults.push(NetFault::Heal { at: cursor + dur });
             }
             2 => tl.faults.push(NetFault::Drop { at: cursor, until: cursor + dur, node }),
-            3 => tl.faults.push(NetFault::CorruptMessage { at: cursor, until: cursor + dur, node }),
+            3 => tl.faults.push(NetFault::CorruptMessage {
+                at: cursor,
+                until: cursor + dur,
+                node,
+                every: 1,
+            }),
             _ => {
                 // Storm only: isolate just enough replicas to break the
                 // majority, heal inside the window — quorum ops degrade,
@@ -1165,9 +1170,10 @@ mod tests {
         assert!(wfa_net::config::majority_safe(&tl.faults, cfg.nodes));
         // Windows are serialized: in tick order, none overlaps the next.
         let mut spans: Vec<(u64, u64)> = w.partitions().iter().map(|p| (p.start, p.end)).collect();
-        for link in [w.crashes(), w.drops(), w.corruptions()] {
+        for link in [w.crashes(), w.drops()] {
             spans.extend(link.iter().map(|l| (l.start, l.end)));
         }
+        spans.extend(w.corruptions().iter().map(|(l, _)| (l.start, l.end)));
         spans.sort_unstable();
         assert_eq!(spans.len(), w.groups().len(), "one window per drawn fault window");
         assert!(spans.windows(2).all(|p| p[0].1 < p[1].0), "windows overlap: {spans:?}");

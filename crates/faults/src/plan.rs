@@ -183,7 +183,7 @@ impl FaultPlan {
     /// retransmit past it) without ever delivering a corrupted payload.
     pub fn corrupt_link(mut self, node: usize, at: u64, until: u64) -> FaultPlan {
         assert!(until > at, "corruption window must be non-empty");
-        self.net_faults.push(NetFault::CorruptMessage { at, until, node });
+        self.net_faults.push(NetFault::CorruptMessage { at, until, node, every: 1 });
         self
     }
 

@@ -100,7 +100,9 @@ pub fn run_plan_observed(
     let mut sched = Record::new(Starve::new(base, stops));
     // Chunked run with early exit once every C-process the adversary lets
     // run has decided — keeps recorded schedules (and thus violation
-    // artifacts) short instead of always exhausting the budget.
+    // artifacts) short instead of always exhausting the budget. The first
+    // check is skipped so that a plan stopping every participant (empty
+    // `expected`) still runs one chunk.
     let parts = participants(sc);
     let stopped_c: Vec<usize> = plan.stops.iter().map(|(i, _)| *i).collect();
     let expected: Vec<Pid> = parts
@@ -109,18 +111,10 @@ pub fn run_plan_observed(
         .filter(|(i, p)| **p && !stopped_c.contains(i))
         .map(|(i, _)| run.roles.c(i))
         .collect();
-    let chunk = 64;
-    let mut used = 0;
-    let mut stop = wfa_kernel::sched::StopReason::BudgetExhausted;
-    while used < sc.budget {
-        let step = chunk.min(sc.budget - used);
-        stop = run.run(&mut sched, step);
-        used += step;
-        let undecided = run.undecided();
-        if expected.iter().all(|p| !undecided.contains(p)) {
-            break;
-        }
-    }
+    let mut first = true;
+    let (_, stop) = run.run_until(&mut sched, sc.budget, |r| {
+        !std::mem::take(&mut first) && r.executor.all_decided(expected.iter().copied())
+    });
     let report = RunReport::evaluate(&run, sc.task.as_ref(), &input, stop);
     let schedule = sched.into_log();
     obs.observe(HistKind::PlanCost, schedule.len() as u64);
@@ -283,6 +277,7 @@ pub fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::backend::BackendSpec;
+    use wfa_net::config::NetFault;
 
     fn quorum_lost(kind: &ViolationKind) -> bool {
         matches!(kind, ViolationKind::Degraded { class: DegradationKind::QuorumLost, .. })
@@ -393,7 +388,12 @@ mod tests {
         // linearized decisions are provably unaffected by corruption.
         let plain = Scenario::ksa_net();
         let corrupt = Scenario::ksa_net_corrupt();
-        assert!(matches!(&corrupt.backend, BackendSpec::Net { cfg, .. } if cfg.corrupt_every == 5));
+        assert!(matches!(
+            &corrupt.backend,
+            BackendSpec::Net { cfg, .. } if cfg.faults.iter().all(
+                |f| matches!(f, NetFault::CorruptMessage { until: u64::MAX, every: 5, .. })
+            )
+        ));
         for plan in [
             FaultPlan::clean(),
             FaultPlan::clean().corrupt_link(1, 0, plain.stab),
@@ -405,7 +405,7 @@ mod tests {
                 assert_eq!(a.report.output, b.report.output, "{}", plan.describe());
                 assert_eq!(a.schedule, b.schedule, "{}", plan.describe());
                 // Safety and wait-freedom verdicts are identical; quorum
-                // loss is monotone in message loss — the periodic knob can
+                // loss is monotone in message loss — the strided windows can
                 // push a plan-marginal quorum past the horizon (an *extra*
                 // degradation) but can never make one disappear.
                 let lost = |o: &PlanOutcome| o.violations.iter().any(|v| quorum_lost(&v.kind));

@@ -18,8 +18,9 @@
 //!   sensitive to advice delay and sample corruption.
 //! * `ksa-net` — the same experiment over the ABD quorum-replicated register
 //!   backend (3 replicas): the scenario network fault plans run against.
-//! * `ksa-net-corrupt` — `ksa-net` with periodic message corruption: every
-//!   5th message arrives damaged, is caught by the checksum layer and
+//! * `ksa-net-corrupt` — `ksa-net` with strided corruption windows (one
+//!   whole-run `CorruptMessage` window per replica, `every: 5`): every 5th
+//!   message arrives damaged, is caught by the checksum layer and
 //!   quarantined, and retransmission recovers — decisions are identical to
 //!   `ksa-net`.
 //! * `ksa-net-reorder` — `ksa-net` with non-FIFO channels: messages overtake
@@ -48,7 +49,7 @@ use wfa_fd::pattern::FailurePattern;
 use wfa_kernel::memory::RegKey;
 use wfa_kernel::process::{DynProcess, Process, Status, StepCtx};
 use wfa_kernel::value::Value;
-use wfa_net::config::NetConfig;
+use wfa_net::config::{NetConfig, NetFault};
 use wfa_objects::adopt_commit::{AcOutcome, AdoptCommit};
 use wfa_objects::driver::{Driver, Step};
 use wfa_tasks::agreement::SetAgreement;
@@ -249,10 +250,12 @@ impl Scenario {
         sc
     }
 
-    /// [`Scenario::ksa_net`] with periodic message corruption
-    /// (`corrupt_every = 5`): every 5th arriving message carries a damaged
+    /// [`Scenario::ksa_net`] with strided message corruption: the spec
+    /// carries one whole-run [`NetFault::CorruptMessage`] window per
+    /// replica with `every: 5`, so every 5th message carries a damaged
     /// payload, which the checksum layer detects and quarantines; the
-    /// stalled quorum round retransmits past it. Decisions and slots are
+    /// stalled quorum round retransmits past it. Every run keeps these
+    /// windows ahead of its plan's faults. Decisions and slots are
     /// identical to `ksa-net` for every plan (the fixture that keeps the
     /// sweep honest about the quarantine path's equivalence guarantee);
     /// quorum-op degradations may *additionally* appear when a plan's own
@@ -261,10 +264,11 @@ impl Scenario {
     pub fn ksa_net_corrupt() -> Scenario {
         let mut sc = Scenario::ksa_net();
         sc.name = "ksa-net-corrupt".into();
-        sc.backend = BackendSpec::Net {
-            cfg: NetConfig { corrupt_every: 5, ..NetConfig::new(3, 0) },
-            shards: 1,
-        };
+        let mut cfg = NetConfig::new(3, 0);
+        cfg.faults = (0..cfg.nodes)
+            .map(|node| NetFault::CorruptMessage { at: 0, until: u64::MAX, node, every: 5 })
+            .collect();
+        sc.backend = BackendSpec::Net { cfg, shards: 1 };
         sc
     }
 

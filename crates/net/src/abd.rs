@@ -16,8 +16,8 @@
 //! makes concurrent writers' tags unique and totally ordered. Any two
 //! majorities intersect, so every phase-1 query sees the globally latest
 //! completed write — that is the whole linearizability argument, and it
-//! holds under message loss, duplication, reordering (non-FIFO mode) and
-//! minority partitions.
+//! holds under message loss, corruption (quarantined like loss),
+//! reordering (non-FIFO mode) and minority partitions.
 //!
 //! Because the kernel invokes one operation per schedule step and the
 //! emulation completes it within the step, operations are sequential; the
@@ -447,17 +447,6 @@ impl AbdBackend {
             self.replicas[*n].put_max(kx, tag, val);
         }
     }
-
-    /// `true` iff every quorum member holds exactly `tag` at slot `kx` (or,
-    /// when `tag` is the default, none holds a copy). A unanimous phase 1
-    /// proves the value is already at a majority, so the read-ordering
-    /// write-back is redundant — the read-optimized variant skips it.
-    fn unanimous(&self, quorum: &[usize], kx: usize, tag: Tag) -> bool {
-        quorum.iter().all(|n| match self.replicas[*n].get(kx) {
-            Some((t, _)) => *t == tag,
-            None => tag == Tag::default(),
-        })
-    }
 }
 
 /// Builds a register-space-sharded backend from `map`: one independent
@@ -479,10 +468,10 @@ impl MemoryBackend for AbdBackend {
         let kx = self.key_index(key);
         let start = self.net.now();
         // Phase 1: query a majority for the latest tagged copy.
-        let Ok(p1_done) = self.phase("read", key, me, now) else {
+        if self.phase("read", key, me, now).is_err() {
             // Degraded: the view is the linearized truth; serve it.
             return self.view.peek(key);
-        };
+        }
         let (mut tag, mut val) = self.collect_max(&self.scratch.quorum, kx);
         // Lazy repair after a degraded spell: writes served while degraded
         // reached only the view, so a quorum value that trails it is
@@ -492,23 +481,12 @@ impl MemoryBackend for AbdBackend {
             tag = Tag(tag.0 + 1, me.0 as u64);
             val = self.view.peek(key);
         }
-        let done = if !repaired
-            && self.net.config().read_optimized
-            && self.unanimous(&self.scratch.quorum, kx, tag)
-        {
-            // Unanimous phase 1 ⇒ the pair is already at a majority; the
-            // ordering write-back is redundant.
-            obs_local::bump(Counter::NetReadbackSkips);
-            p1_done
-        } else {
-            // Phase 2: write the observed pair back so the read is ordered
-            // after the write it saw.
-            let Ok(p2_done) = self.phase("read-back", key, me, now) else {
-                return self.view.peek(key);
-            };
-            self.apply(kx, tag, &val);
-            p2_done
+        // Phase 2: write the observed pair back so the read is ordered
+        // after the write it saw.
+        let Ok(done) = self.phase("read-back", key, me, now) else {
+            return self.view.peek(key);
         };
+        self.apply(kx, tag, &val);
         obs_local::bump(Counter::NetQuorumReads);
         obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::QuorumOp, dur: done - start });
         obs_local::observe(HistKind::QuorumLatency, done - start);
@@ -905,31 +883,6 @@ mod tests {
         assert!(!abd.is_degraded());
         assert!(abd.drain_degradations().is_empty(), "credited recovery must not degrade");
         assert_eq!(abd.read(Pid(1), 1, key), Value::Int(3));
-    }
-
-    #[test]
-    fn read_optimized_variant_skips_unanimous_write_backs() {
-        let obs = MetricsHandle::counters();
-        let mut cfg = NetConfig::new(3, 5);
-        cfg.read_optimized = true;
-        let mut abd = AbdBackend::new(cfg);
-        let key = RegKey::new(0);
-        {
-            let _g = obs_local::enter(&obs, 0, 0);
-            abd.write(Pid(0), 0, key, Value::Int(4));
-            // The store phase reached all three replicas, so phase 1 of
-            // the read is unanimous and phase 2 is skipped: 2 write
-            // phases + 1 read phase = 3 × 3 × (req+rep) = 18 messages.
-            assert_eq!(abd.read(Pid(1), 1, key), Value::Int(4));
-        }
-        assert_eq!(obs.get(Counter::NetReadbackSkips), 1);
-        assert_eq!(obs.get(Counter::NetMsgsSent), 18);
-        // An unwritten key is unanimously absent — also skippable.
-        {
-            let _g = obs_local::enter(&obs, 0, 0);
-            assert_eq!(abd.read(Pid(0), 2, RegKey::new(9)), Value::Unit);
-        }
-        assert_eq!(obs.get(Counter::NetReadbackSkips), 2);
     }
 
     #[test]

@@ -59,11 +59,13 @@ pub enum NetFault {
         /// The recovering replica index.
         node: usize,
     },
-    /// Messages arriving on node `node`'s links in the window `[at, until)`
-    /// are corrupted in flight. The runtime's per-message checksum detects
-    /// the corruption at arrival and quarantines the message instead of
-    /// delivering it, so — like [`NetFault::Drop`] — retransmission rounds
-    /// recover it and linearized outcomes are unaffected.
+    /// Every `every`-th message (by the runtime's message counter) arriving
+    /// on node `node`'s links in the window `[at, until)` is corrupted in
+    /// flight; `every = 1` corrupts them all. The runtime's per-message
+    /// checksum detects the corruption at arrival and quarantines the
+    /// message instead of delivering it, so — like [`NetFault::Drop`] —
+    /// retransmission rounds recover it and linearized outcomes are
+    /// unaffected.
     CorruptMessage {
         /// Start of the corrupting window.
         at: u64,
@@ -71,6 +73,8 @@ pub enum NetFault {
         until: u64,
         /// The affected replica index.
         node: usize,
+        /// Stride over the message counter; at least 1.
+        every: u64,
     },
 }
 
@@ -106,12 +110,20 @@ impl NetFault {
                 ("at".into(), Json::Num(*at)),
                 ("node".into(), Json::Num(*node as u64)),
             ]),
-            NetFault::CorruptMessage { at, until, node } => Json::Obj(vec![
-                ("type".into(), Json::Str("corrupt-message".into())),
-                ("at".into(), Json::Num(*at)),
-                ("until".into(), Json::Num(*until)),
-                ("node".into(), Json::Num(*node as u64)),
-            ]),
+            NetFault::CorruptMessage { at, until, node, every } => {
+                let mut fields = vec![
+                    ("type".into(), Json::Str("corrupt-message".into())),
+                    ("at".into(), Json::Num(*at)),
+                    ("until".into(), Json::Num(*until)),
+                    ("node".into(), Json::Num(*node as u64)),
+                ];
+                // Omitted at the default, so unstrided windows encode as in
+                // artifacts written before strides existed.
+                if *every != 1 {
+                    fields.push(("every".into(), Json::Num(*every)));
+                }
+                Json::Obj(fields)
+            }
         }
     }
 
@@ -161,6 +173,13 @@ impl NetFault {
                     .ok_or("corrupt-message lacks `until`")?,
                 node: json.get("node").and_then(Json::num).ok_or("corrupt-message lacks `node`")?
                     as usize,
+                every: match json.get("every") {
+                    None => 1,
+                    Some(e) => e
+                        .num()
+                        .filter(|e| *e > 0)
+                        .ok_or("corrupt-message `every` must be a positive integer")?,
+                },
             }),
             // Never degrade an unrecognized fault to "no fault": replaying a
             // plan without one of its faults would silently change what the
@@ -183,8 +202,11 @@ impl NetFault {
             NetFault::Drop { at, until, node } => format!("drop({node}@{at}..{until})"),
             NetFault::CrashReplica { at, node } => format!("crash-replica({node}@{at})"),
             NetFault::RecoverReplica { at, node } => format!("recover-replica({node}@{at})"),
-            NetFault::CorruptMessage { at, until, node } => {
+            NetFault::CorruptMessage { at, until, node, every: 1 } => {
                 format!("corrupt({node}@{at}..{until})")
+            }
+            NetFault::CorruptMessage { at, until, node, every } => {
+                format!("corrupt({node}@{at}..{until}/{every})")
             }
         }
     }
@@ -253,9 +275,8 @@ pub fn majority_safe(faults: &[NetFault], nodes: usize) -> bool {
 }
 
 /// Full description of a simulated network: replica count, link timing,
-/// link-level misbehaviour, and timed faults. Determines every delivery
-/// decision; two runs with equal configs and equal operation sequences are
-/// identical.
+/// and timed faults. Determines every delivery decision; two runs with
+/// equal configs and equal operation sequences are identical.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct NetConfig {
     /// Number of replica nodes holding register copies.
@@ -265,30 +286,12 @@ pub struct NetConfig {
     /// Enforce per-channel FIFO delivery (deliveries on one channel never
     /// reorder); `false` lets later messages overtake.
     pub fifo: bool,
-    /// Minimum link delay, in ticks.
-    pub min_delay: u64,
-    /// Maximum link delay, in ticks (inclusive).
+    /// Maximum link delay, in ticks (inclusive); the minimum is one tick.
     pub max_delay: u64,
-    /// Drop every k-th message (`0`: no periodic loss). Dropped messages are
-    /// recovered by retransmission rounds.
-    pub drop_every: u64,
-    /// Duplicate every k-th delivered message (`0`: never). Replicas are
-    /// idempotent, so duplicates only show up in the counters.
-    pub dup_every: u64,
-    /// Corrupt every k-th message in flight (`0`: never). The per-message
-    /// checksum detects the corruption at arrival and the message is
-    /// quarantined — counted, dropped, and recovered by retransmission —
-    /// never delivered, so linearized outcomes are unaffected.
-    pub corrupt_every: u64,
     /// Broadcast rounds to attempt before declaring a quorum unreachable.
     pub max_rounds: u32,
     /// What replica stores survive a [`NetFault::CrashReplica`].
     pub durability: Durability,
-    /// Skip the phase-2 write-back when a read's phase-1 replies are
-    /// unanimous (every quorum member already holds the maximum tag, so the
-    /// write-back is provably redundant). Off by default so the message
-    /// counts pinned by E14 stay put.
-    pub read_optimized: bool,
     /// Which replica group this config drives when the register space is
     /// sharded — attribution only (selects the `net_shard{N}_msgs` counter);
     /// `0` for unsharded backends.
@@ -304,14 +307,9 @@ impl NetConfig {
             nodes,
             seed,
             fifo: true,
-            min_delay: 1,
             max_delay: 4,
-            drop_every: 0,
-            dup_every: 0,
-            corrupt_every: 0,
             max_rounds: 3,
             durability: Durability::Volatile,
-            read_optimized: false,
             shard: 0,
             faults: Vec::new(),
         }
@@ -495,6 +493,22 @@ mod tests {
     }
 
     #[test]
+    fn corruption_strides_encode_only_when_set() {
+        let plain = NetFault::CorruptMessage { at: 2, until: 9, node: 1, every: 1 };
+        let text = plain.to_json().to_string();
+        assert!(!text.contains("every"), "an unstrided window keeps the old encoding: {text}");
+        assert_eq!(NetFault::from_json(&Json::parse(&text).unwrap()), Ok(plain));
+        let strided = NetFault::CorruptMessage { at: 0, until: 9, node: 1, every: 5 };
+        let text = strided.to_json().to_string();
+        assert!(text.contains("\"every\":5"), "{text}");
+        assert_eq!(NetFault::from_json(&Json::parse(&text).unwrap()), Ok(strided));
+        let zero = Json::parse(r#"{"type":"corrupt-message","at":0,"until":9,"node":1,"every":0}"#)
+            .unwrap();
+        let err = NetFault::from_json(&zero).unwrap_err();
+        assert!(err.contains("`every` must be a positive integer"), "{err}");
+    }
+
+    #[test]
     fn shard_map_derives_independent_group_configs() {
         let map = ShardMap::new(4, 3);
         assert_eq!(map.total_nodes(), 12);
@@ -549,7 +563,10 @@ mod tests {
         assert!(majority_safe(&[NetFault::Drop { at: 0, until: 100, node: 0 }], 3));
         // Corruption is quarantined and retransmitted — like drops, it never
         // breaks the precondition.
-        assert!(majority_safe(&[NetFault::CorruptMessage { at: 0, until: 100, node: 0 }], 3));
+        assert!(majority_safe(
+            &[NetFault::CorruptMessage { at: 0, until: 100, node: 0, every: 1 }],
+            3
+        ));
     }
 
     #[test]
@@ -624,8 +641,12 @@ mod tests {
             "recover-replica(2@60)"
         );
         assert_eq!(
-            NetFault::CorruptMessage { at: 2, until: 9, node: 1 }.describe(),
+            NetFault::CorruptMessage { at: 2, until: 9, node: 1, every: 1 }.describe(),
             "corrupt(1@2..9)"
+        );
+        assert_eq!(
+            NetFault::CorruptMessage { at: 0, until: 9, node: 1, every: 5 }.describe(),
+            "corrupt(1@0..9/5)"
         );
     }
 }

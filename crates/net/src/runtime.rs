@@ -51,8 +51,7 @@ pub fn mix(mut z: u64) -> u64 {
 #[derive(Clone, Debug)]
 pub struct NetRuntime {
     cfg: NetConfig,
-    /// `cfg.faults` compiled once; shared by forks and left out of the
-    /// hash, which covers `cfg`.
+    /// `cfg.faults` compiled once; shared by forks.
     windows: Arc<FaultWindows>,
     /// The network clock, in ticks; advances when quorum operations
     /// complete or retransmission rounds back off.
@@ -63,9 +62,10 @@ pub struct NetRuntime {
     fifo_mark: Vec<u64>,
 }
 
+/// Hashes the run state only: the config, and the windows compiled from
+/// it, are fixed for the whole run.
 impl Hash for NetRuntime {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.cfg.hash(state);
         self.now.hash(state);
         self.msgs.hash(state);
         self.fifo_mark.hash(state);
@@ -103,11 +103,10 @@ impl NetRuntime {
         self.msgs
     }
 
-    /// Link delay of the `c`-th message: a seeded draw in
-    /// `[min_delay, max_delay]`.
+    /// Link delay of the `c`-th message: a seeded draw in `[1, max_delay]`.
     fn delay(&self, c: u64) -> u64 {
-        let span = self.cfg.max_delay.saturating_sub(self.cfg.min_delay) + 1;
-        self.cfg.min_delay + mix(self.cfg.seed ^ c.wrapping_mul(0x517c_c1b7_2722_0a95)) % span
+        let draw = mix(self.cfg.seed ^ c.wrapping_mul(0x517c_c1b7_2722_0a95));
+        1 + draw % self.cfg.max_delay.max(1)
     }
 
     /// Checksum of message `c`: a splitmix64 digest of `(seed, message id)`,
@@ -117,18 +116,16 @@ impl NetRuntime {
     }
 
     /// Verifies the current message's checksum at arrival on `endpoints`'
-    /// links at tick `arrive`. In-flight corruption (the periodic
-    /// `corrupt_every` knob or an active [`crate::config::NetFault::CorruptMessage`]
-    /// window) XORs a nonzero seeded flip into the payload, so the
-    /// receiver's recomputed digest can never match; the mismatch is
-    /// counted and the message quarantined (`false`) — the caller treats it
-    /// like a drop, and a retransmission round recovers it. Messages
-    /// outside any corruption source verify trivially, leaving healthy
-    /// runs byte-identical.
+    /// links at tick `arrive`. In-flight corruption (an active
+    /// [`crate::config::NetFault::CorruptMessage`] window on an endpoint
+    /// whose stride divides the message counter) XORs a nonzero seeded
+    /// flip into the payload, so the receiver's recomputed digest can never
+    /// match; the mismatch is counted and the message quarantined (`false`)
+    /// — the caller treats it like a drop, and a retransmission round
+    /// recovers it. Messages outside every corruption window verify
+    /// trivially, leaving healthy runs byte-identical.
     fn verify(&self, endpoints: &[usize], arrive: u64) -> bool {
-        let periodic =
-            self.cfg.corrupt_every > 0 && self.msgs.is_multiple_of(self.cfg.corrupt_every);
-        if !periodic && !endpoints.iter().any(|n| self.windows.corrupting(*n, arrive)) {
+        if !endpoints.iter().any(|n| self.windows.corrupting(*n, arrive, self.msgs)) {
             return true;
         }
         let expected = self.digest(self.msgs);
@@ -146,14 +143,13 @@ impl NetRuntime {
     /// tick, or `None` if a link dropped it. Every endpoint's links are
     /// consulted at send and at arrival, so partitions, crash windows, drop
     /// windows and in-flight corruption apply the same way to every
-    /// protocol. The one send path: the periodic drop, the delay draw, the
-    /// FIFO clamp, in-flight loss, checksum verification and the counters.
+    /// protocol. The one send path: loss at send, the delay draw, the FIFO
+    /// clamp, in-flight loss, checksum verification and the counters.
     fn send(&mut self, endpoints: &[usize], channel: usize, sent: u64) -> Option<u64> {
         self.msgs += 1;
         obs_local::bump(Counter::NetMsgsSent);
         obs_local::bump(Counter::shard_msgs(self.cfg.shard));
-        let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || endpoints.iter().any(|n| self.windows.lossy(*n, sent)) {
+        if endpoints.iter().any(|n| self.windows.lossy(*n, sent)) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
@@ -174,11 +170,6 @@ impl NetRuntime {
         }
         obs_local::bump(Counter::NetMsgsDelivered);
         obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::Channel, dur });
-        if self.cfg.dup_every > 0 && self.msgs.is_multiple_of(self.cfg.dup_every) {
-            // Idempotent replicas: the duplicate only shows in the counters.
-            obs_local::bump(Counter::NetMsgsDuplicated);
-            obs_local::bump(Counter::NetMsgsDelivered);
-        }
         Some(arrive)
     }
 
@@ -508,10 +499,12 @@ mod tests {
     }
 
     #[test]
-    fn periodic_corruption_is_quarantined_and_recovered() {
+    fn strided_corruption_is_quarantined_and_recovered() {
         let obs = MetricsHandle::counters();
         let mut cfg = NetConfig::new(3, 7);
-        cfg.corrupt_every = 4;
+        cfg.faults = (0..3)
+            .map(|node| NetFault::CorruptMessage { at: 0, until: u64::MAX, node, every: 4 })
+            .collect();
         cfg.max_rounds = 6;
         let mut rt = NetRuntime::new(cfg);
         let _g = obs_local::enter(&obs, 0, 0);
@@ -519,7 +512,8 @@ mod tests {
             quorum_round(&mut rt).expect("corruption must be recovered by retransmits");
         }
         let detected = obs.get(Counter::NetCorruptMsgsDetected);
-        assert!(detected > 0, "the periodic knob must have fired");
+        // Every message crosses a corrupting window: exactly every 4th is hit.
+        assert_eq!(detected, obs.get(Counter::NetMsgsSent) / 4);
         assert_eq!(
             detected,
             obs.get(Counter::NetCorruptMsgsQuarantined),
@@ -535,7 +529,7 @@ mod tests {
     fn corruption_windows_behave_like_drops() {
         let obs = MetricsHandle::counters();
         let cfg = NetConfig::new(3, 7)
-            .with_fault(NetFault::CorruptMessage { at: 0, until: 10, node: 0 });
+            .with_fault(NetFault::CorruptMessage { at: 0, until: 10, node: 0, every: 1 });
         let mut rt = NetRuntime::new(cfg);
         let _g = obs_local::enter(&obs, 0, 0);
         let (responders, _, _) =
@@ -559,13 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn periodic_drops_are_recovered() {
-        let mut cfg = NetConfig::new(3, 7);
-        cfg.drop_every = 4;
-        cfg.max_rounds = 6;
+    fn majority_drop_windows_are_recovered_by_retransmission() {
+        let obs = MetricsHandle::counters();
+        let cfg = NetConfig::new(3, 7)
+            .with_fault(NetFault::Drop { at: 0, until: 10, node: 0 })
+            .with_fault(NetFault::Drop { at: 0, until: 10, node: 1 });
         let mut rt = NetRuntime::new(cfg);
+        let _g = obs_local::enter(&obs, 0, 0);
         for _ in 0..20 {
             quorum_round(&mut rt).expect("drops must be recovered by retransmits");
         }
+        assert!(obs.get(Counter::NetRetransmits) > 0, "the first round lost its quorum");
+        assert!(obs.get(Counter::NetMsgsDropped) > 0);
     }
 }

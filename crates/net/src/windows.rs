@@ -14,7 +14,9 @@
 //! So a partition runs until the next partition or heal, a replica is down
 //! from a crash until its next recovery (a second crash while down changes
 //! nothing), and a heal or recovery with nothing to close is a no-op.
-//! `Drop` and `CorruptMessage` faults carry both ends themselves.
+//! `Drop` and `CorruptMessage` faults carry both ends themselves; a
+//! corruption window also carries a stride over the runtime's message
+//! counter, so it can hit every k-th message instead of all of them.
 
 use crate::config::NetFault;
 
@@ -69,8 +71,8 @@ pub struct FaultWindows {
     crashes: Vec<Window<usize>>,
     /// Lossy-link windows, in list order.
     drops: Vec<Window<usize>>,
-    /// Corrupting-link windows, in list order.
-    corruptions: Vec<Window<usize>>,
+    /// Corrupting-link windows with their stride, in list order.
+    corruptions: Vec<(Window<usize>, u64)>,
     /// Every crash and recovery, stable-sorted by tick.
     replica_events: Vec<ReplicaEvent>,
     /// Length of the compiled fault list.
@@ -81,6 +83,7 @@ impl FaultWindows {
     /// Compiles `faults` for a `nodes`-replica cluster.
     pub fn new(faults: &[NetFault], nodes: usize) -> FaultWindows {
         let mut out = FaultWindows { len: faults.len(), ..FaultWindows::default() };
+        let link = |start, end, who, i| Window { start, end, who, opened_by: i, closed_by: None };
         let mut fabric: Vec<(u64, usize)> = Vec::new();
         let mut replica: Vec<(ReplicaEvent, usize)> = Vec::new();
         for (i, f) in faults.iter().enumerate() {
@@ -92,15 +95,11 @@ impl FaultWindows {
                 NetFault::RecoverReplica { at, node } if node < nodes => {
                     replica.push((ReplicaEvent { at, node, crash: false }, i));
                 }
-                NetFault::Drop { at, until, node } | NetFault::CorruptMessage { at, until, node }
-                    if node < nodes =>
-                {
-                    let w =
-                        Window { start: at, end: until, who: node, opened_by: i, closed_by: None };
-                    match f {
-                        NetFault::Drop { .. } => out.drops.push(w),
-                        _ => out.corruptions.push(w),
-                    }
+                NetFault::Drop { at, until, node } if node < nodes => {
+                    out.drops.push(link(at, until, node, i));
+                }
+                NetFault::CorruptMessage { at, until, node, every } if node < nodes => {
+                    out.corruptions.push((link(at, until, node, i), every));
                 }
                 _ => {}
             }
@@ -174,8 +173,9 @@ impl FaultWindows {
         &self.drops
     }
 
-    /// Corrupting-link windows.
-    pub fn corruptions(&self) -> &[Window<usize>] {
+    /// Corrupting-link windows, each with its stride over the message
+    /// counter.
+    pub fn corruptions(&self) -> &[(Window<usize>, u64)] {
         &self.corruptions
     }
 
@@ -203,10 +203,13 @@ impl FaultWindows {
             || self.drops.iter().any(|w| w.who == node && w.contains(t))
     }
 
-    /// `true` iff messages on `node`'s links at tick `t` are corrupted in
-    /// flight.
-    pub fn corrupting(&self, node: usize, t: u64) -> bool {
-        self.corruptions.iter().any(|w| w.who == node && w.contains(t))
+    /// `true` iff message number `msg` on `node`'s links at tick `t` is
+    /// corrupted in flight: a window of the replica covers `t` and its
+    /// stride divides `msg`.
+    pub fn corrupting(&self, node: usize, t: u64, msg: u64) -> bool {
+        self.corruptions
+            .iter()
+            .any(|(w, every)| w.who == node && w.contains(t) && msg.is_multiple_of(*every))
     }
 
     /// The fault list split into droppable units, as sorted index groups

@@ -75,10 +75,8 @@ pub enum Counter {
     NetMsgsSent,
     /// Messages delivered to a node's mailbox.
     NetMsgsDelivered,
-    /// Messages dropped by links (partitions, drop windows, periodic loss).
+    /// Messages dropped by links (partitions, crashed replicas, drop windows).
     NetMsgsDropped,
-    /// Messages duplicated by links.
-    NetMsgsDuplicated,
     /// Broadcast rounds re-sent after an incomplete quorum.
     NetRetransmits,
     /// Quorum-replicated register reads completed.
@@ -94,8 +92,8 @@ pub enum Counter {
     /// Messages carried by the replica-to-replica re-sync protocol
     /// (also counted in `net_msgs_sent`/`net_msgs_delivered`).
     NetResyncMsgs,
-    /// Phase-2 write-backs skipped by the read-optimized ABD variant
-    /// (unanimous phase-1 replies).
+    /// Phase-2 write-backs skipped. No ABD read skips its write-back, so
+    /// this reads 0; it keeps its slot in the canonical snapshot layout.
     NetReadbackSkips,
     /// Quorum operations that exhausted their retransmission horizon and
     /// degraded to the linearized local view.
@@ -149,7 +147,7 @@ pub enum Counter {
 }
 
 /// All counters, in canonical export order.
-pub const COUNTERS: [Counter; 51] = [
+pub const COUNTERS: [Counter; 50] = [
     Counter::ScheduleSlots,
     Counter::EffectiveSteps,
     Counter::NullSteps,
@@ -174,7 +172,6 @@ pub const COUNTERS: [Counter; 51] = [
     Counter::NetMsgsSent,
     Counter::NetMsgsDelivered,
     Counter::NetMsgsDropped,
-    Counter::NetMsgsDuplicated,
     Counter::NetRetransmits,
     Counter::NetQuorumReads,
     Counter::NetQuorumWrites,
@@ -231,7 +228,6 @@ impl Counter {
             Counter::NetMsgsSent => "net_msgs_sent",
             Counter::NetMsgsDelivered => "net_msgs_delivered",
             Counter::NetMsgsDropped => "net_msgs_dropped",
-            Counter::NetMsgsDuplicated => "net_msgs_duplicated",
             Counter::NetRetransmits => "net_retransmits",
             Counter::NetQuorumReads => "net_quorum_reads",
             Counter::NetQuorumWrites => "net_quorum_writes",

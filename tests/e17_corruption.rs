@@ -4,8 +4,9 @@
 //! sweeps tractable. This suite pins the acceptance criteria:
 //!
 //! 1. **Corruption equivalence** — ksa and renaming decide byte-identical
-//!    values with `CorruptMessage` faults and the periodic `corrupt_every`
-//!    knob active: every damaged message is detected by its splitmix64
+//!    values under `CorruptMessage` windows, both plan windows that damage
+//!    every message and whole-run windows with a stride that damage every
+//!    k-th one: every damaged message is detected by its splitmix64
 //!    digest, quarantined (dropped before delivery, counted) and recovered
 //!    by retransmission, so the linearized view is provably unaffected.
 //! 2. **Quarantine accounting** — every detected corruption is quarantined
@@ -31,9 +32,10 @@ use wfa::obs::metrics::MetricsHandle;
 
 #[test]
 fn e17_ksa_decisions_survive_corruption_byte_identically() {
-    // Clean plan and an all-run corruption window on each link, over both
-    // the plan-window path (ksa-net) and the periodic knob (ksa-net-corrupt):
-    // outputs and schedules must be byte-identical to the fault-free net run.
+    // A corruption window on each link in turn (ksa-net plans), and the
+    // scenario's own whole-run windows of stride 5 on every link
+    // (ksa-net-corrupt, clean plan): outputs and schedules must be
+    // byte-identical to the fault-free net run.
     let plain = Scenario::ksa_net();
     let corrupt = Scenario::ksa_net_corrupt();
     for seed in [3u64, 7, 9] {
@@ -46,17 +48,18 @@ fn e17_ksa_decisions_survive_corruption_byte_identically() {
             assert_eq!(got.schedule, base.schedule, "seed {seed} node {node}");
             assert!(got.violations.is_empty(), "seed {seed} node {node}: quarantine recovers");
         }
-        let periodic = run_plan(&corrupt, &FaultPlan::clean(), seed);
-        assert_eq!(periodic.report.output, base.report.output, "seed {seed}: corrupt_every");
-        assert_eq!(periodic.schedule, base.schedule, "seed {seed}: corrupt_every");
-        assert!(periodic.violations.is_empty(), "seed {seed}: corrupt_every recovers");
+        let strided = run_plan(&corrupt, &FaultPlan::clean(), seed);
+        assert_eq!(strided.report.output, base.report.output, "seed {seed}: every 5th");
+        assert_eq!(strided.schedule, base.schedule, "seed {seed}: every 5th");
+        assert!(strided.violations.is_empty(), "seed {seed}: every 5th recovers");
     }
 }
 
 #[test]
 fn e17_renaming_decisions_survive_corruption_byte_identically() {
-    // The j=3 renaming ensemble from E16, now with both corruption knobs at
-    // once: a permanent window on node 0 plus corrupt_every = 3.
+    // The j=3 renaming ensemble from E16 under two corruption windows at
+    // once: a permanent one on node 0 plus whole-run windows of stride 3
+    // on every replica.
     let rename_run = |seed: u64, net: Option<NetConfig>| -> Vec<Option<Value>> {
         let (j, m) = (3usize, 4usize);
         let mut ex = Executor::new();
@@ -75,8 +78,10 @@ fn e17_renaming_decisions_survive_corruption_byte_identically() {
         let clean_net = rename_run(seed, Some(NetConfig::new(3, seed ^ 0x7e7)));
         assert_eq!(clean_net, baseline, "seed {seed}: healthy net matches shm");
         let mut cfg = NetConfig::new(3, seed ^ 0x7e7);
-        cfg.corrupt_every = 3;
-        cfg.faults = vec![NetFault::CorruptMessage { at: 0, until: 10_000, node: 0 }];
+        cfg.faults = (0..3)
+            .map(|node| NetFault::CorruptMessage { at: 0, until: u64::MAX, node, every: 3 })
+            .collect();
+        cfg.faults.push(NetFault::CorruptMessage { at: 0, until: 10_000, node: 0, every: 1 });
         let damaged = rename_run(seed, Some(cfg));
         assert_eq!(damaged, baseline, "seed {seed}: corruption must not move any name");
     }
@@ -91,7 +96,7 @@ fn e17_every_detected_corruption_is_quarantined() {
     let snap = obs.snapshot().expect("metrics enabled");
     let detected = snap.counter("net_corrupt_msgs_detected").unwrap_or(0);
     let quarantined = snap.counter("net_corrupt_msgs_quarantined").unwrap_or(0);
-    assert!(detected > 0, "corrupt_every = 5 must damage messages");
+    assert!(detected > 0, "every 5th message must be damaged");
     assert_eq!(detected, quarantined, "detection and quarantine are one act");
     // Quarantine is counted as corruption loss, not as an ordinary drop —
     // the two ledgers stay separate. (No retransmission is even needed

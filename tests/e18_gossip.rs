@@ -71,7 +71,7 @@ fn e18_fixed_seed_gossip_ksa_has_exact_counters() {
     // The run fingerprint hashes every replica's slots and causal context,
     // the delta log, the per-peer buffers and the network state: any drift
     // in what an exchange ships or merges moves it.
-    assert_eq!(fp, 0xbdf9_80ff_b8a5_00be, "run fingerprint {fp:#x}");
+    assert_eq!(fp, 0x27da_407d_d87b_cdc4, "run fingerprint {fp:#x}");
     let snap = obs.snapshot().expect("metrics enabled");
     // The E13 kernel pins, unchanged: the backend is observationally
     // transparent to the algorithm.

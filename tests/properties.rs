@@ -37,21 +37,24 @@ fn regkey_strategy() -> impl Strategy<Value = RegKey> {
 
 /// Strategy for one network fault over replicas `0..6` (one past the
 /// 5-node cluster the windows are compiled for) at ticks below 50. Ticks
-/// on a coarse grid besides the full range make same-tick ties common.
+/// on a coarse grid besides the full range make same-tick ties common;
+/// corruption windows draw strides 1..4.
 fn net_fault_strategy() -> impl Strategy<Value = NetFault> {
     let tick = prop_oneof![0u64..50, (0u64..5).prop_map(|k| k * 10)];
     let cut = prop::collection::vec(0usize..6, 0..4);
-    (0u8..6, tick, 0u64..20, 0usize..6, cut).prop_map(|(kind, at, len, node, nodes)| {
-        let until = at + len;
-        match kind {
-            0 => NetFault::Partition { at, nodes },
-            1 => NetFault::Heal { at },
-            2 => NetFault::Drop { at, until, node },
-            3 => NetFault::CorruptMessage { at, until, node },
-            4 => NetFault::CrashReplica { at, node },
-            _ => NetFault::RecoverReplica { at, node },
-        }
-    })
+    (0u8..6, tick, 0u64..20, 0usize..6, cut, 1u64..4).prop_map(
+        |(kind, at, len, node, nodes, every)| {
+            let until = at + len;
+            match kind {
+                0 => NetFault::Partition { at, nodes },
+                1 => NetFault::Heal { at },
+                2 => NetFault::Drop { at, until, node },
+                3 => NetFault::CorruptMessage { at, until, node, every },
+                4 => NetFault::CrashReplica { at, node },
+                _ => NetFault::RecoverReplica { at, node },
+            }
+        },
+    )
 }
 
 /// The specification `FaultWindows` is checked against: a direct scan of
@@ -88,12 +91,19 @@ fn spec_down(faults: &[NetFault], node: usize, t: u64) -> bool {
     verdict
 }
 
-/// `true` iff `node` has a link window of the selected kind covering `t`.
-fn spec_link(faults: &[NetFault], node: usize, t: u64, corrupt: bool) -> bool {
+/// `true` iff `node` has a drop window covering `t`.
+fn spec_drop(faults: &[NetFault], node: usize, t: u64) -> bool {
+    faults.iter().any(|f| {
+        matches!(f, NetFault::Drop { at, until, node: n } if *n == node && *at <= t && t < *until)
+    })
+}
+
+/// `true` iff message `msg` on `node`'s links at `t` falls in a corruption
+/// window whose stride divides the message counter.
+fn spec_corrupt(faults: &[NetFault], node: usize, t: u64, msg: u64) -> bool {
     faults.iter().any(|f| match f {
-        NetFault::Drop { at, until, node: n } if !corrupt => *n == node && *at <= t && t < *until,
-        NetFault::CorruptMessage { at, until, node: n } if corrupt => {
-            *n == node && *at <= t && t < *until
+        NetFault::CorruptMessage { at, until, node: n, every } => {
+            *n == node && *at <= t && t < *until && msg.is_multiple_of(*every)
         }
         _ => false,
     })
@@ -103,7 +113,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every window query agrees with the latest-event-wins scan at every
-    /// tick, same-tick ties and out-of-range replicas included.
+    /// tick, same-tick ties, out-of-range replicas and corruption strides
+    /// (probed with message counters 0..12) included.
     #[test]
     fn fault_windows_match_the_latest_event_wins_scan(
         faults in prop::collection::vec(net_fault_strategy(), 0..9),
@@ -113,17 +124,27 @@ proptest! {
             for node in 0..5 {
                 let isolated = spec_isolated(&faults, node, t);
                 let down = spec_down(&faults, node, t);
-                let lossy = isolated || down || spec_link(&faults, node, t, false);
-                let corrupting = spec_link(&faults, node, t, true);
+                let lossy = isolated || down || spec_drop(&faults, node, t);
                 let got = (w.isolated(node, t), w.down(node, t), w.lossy(node, t));
                 prop_assert_eq!(
-                    (got, w.corrupting(node, t)),
-                    ((isolated, down, lossy), corrupting),
+                    got,
+                    (isolated, down, lossy),
                     "node {} at tick {} in {:?}",
                     node,
                     t,
                     faults
                 );
+                for msg in 0..12 {
+                    prop_assert_eq!(
+                        w.corrupting(node, t, msg),
+                        spec_corrupt(&faults, node, t, msg),
+                        "message {} on node {} at tick {} in {:?}",
+                        msg,
+                        node,
+                        t,
+                        faults
+                    );
+                }
             }
         }
     }
