@@ -16,7 +16,8 @@
 //! Argument parsing is hand-rolled (`--key value` pairs) to keep the
 //! dependency set at the workspace baseline.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -71,8 +72,14 @@ fn backend_spec(backend: &str, args: &Args, nodes: usize) -> Result<BackendSpec,
     }
 }
 
-/// Parsed `--key value` arguments with typed accessors.
-struct Args(HashMap<String, String>);
+/// Parsed `--key value` arguments with typed accessors. Each accessor
+/// marks its key as read, and [`Args::reject_unread`] refuses every flag
+/// none asked for, so a misspelt or retired flag is an error rather than a
+/// silently applied default.
+struct Args {
+    map: HashMap<String, String>,
+    read: RefCell<HashSet<String>>,
+}
 
 impl Args {
     fn parse(raw: &[String]) -> Result<Args, String> {
@@ -92,14 +99,33 @@ impl Args {
             };
             map.insert(key.to_string(), v);
         }
-        Ok(Args(map))
+        Ok(Args { map, read: RefCell::default() })
+    }
+
+    /// The raw value of `--key`, if given.
+    fn value(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.map.get(key)
     }
 
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.0.get(key) {
+        match self.value(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("invalid value for --{key}: `{v}`")),
         }
+    }
+
+    /// Fails, naming them, if any flags were given that no accessor has
+    /// read. Commands call it after reading every flag and before working.
+    fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let mut unread: Vec<&str> =
+            self.map.keys().filter(|k| !read.contains(*k)).map(String::as_str).collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort_unstable();
+        Err(format!("unknown flag(s) for this command: --{}", unread.join(", --")))
     }
 }
 
@@ -111,6 +137,8 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
     let crashes: usize = args.get("crashes", 1)?;
     let as_json: bool = args.get("json", false)?;
     let backend = args.get("backend", "shm".to_string())?;
+    let spec = backend_spec(&backend, args, n)?;
+    args.reject_unread()?;
     if k == 0 || k > n {
         return Err("need 1 ≤ k ≤ n".into());
     }
@@ -135,7 +163,6 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
         })
         .collect();
     let obs = MetricsHandle::counters();
-    let spec = backend_spec(&backend, args, n)?;
     let mut run =
         EfdRun::new(c, s, fd).with_metrics(obs.clone()).with_backend(spec.build(seed, &[]));
     let mut sched = run.fair_sched(seed ^ 0xc11);
@@ -214,6 +241,7 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
     let as_json: bool = args.get("json", false)?;
     let backend = args.get("backend", "shm".to_string())?;
     let spec = backend_spec(&backend, args, j)?;
+    args.reject_unread()?;
     let m = j + 1;
     let obs = MetricsHandle::counters();
     let mut rows: Vec<(usize, usize, i64)> = Vec::new();
@@ -270,6 +298,7 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
 fn cmd_hierarchy(args: &Args) -> Result<(), String> {
     let n: usize = args.get("n", 4)?;
     let runs: u32 = args.get("runs", 400)?;
+    args.reject_unread()?;
     println!("Theorem-10 classification over n = {n} ({runs} runs per cell)");
     for k_task in 1..=n {
         let task: Arc<dyn Task> = Arc::new(SetAgreement::new(n, k_task));
@@ -298,7 +327,8 @@ fn cmd_hierarchy(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_refute(_args: &Args) -> Result<(), String> {
+fn cmd_refute(args: &Args) -> Result<(), String> {
+    args.reject_unread()?;
     let cand = |i: usize| Box::new(RenamingFig4::new(i, 4)) as Box<dyn DynProcess>;
     let r = refute_strong_2_renaming(&cand, &[0, 1, 2], Limits::default());
     println!("colliding solo slots: p{} and p{}", r.colliding.0, r.colliding.1);
@@ -341,6 +371,7 @@ fn cmd_extract(args: &Args) -> Result<(), String> {
     let slots: u64 = args.get("slots", 600_000)?;
     let stab: u64 = args.get("stab", 300)?;
     let seed: u64 = args.get("seed", 42)?;
+    args.reject_unread()?;
     let n = 3;
     fn c_part(i: usize, input: &Value) -> Box<dyn DynProcess> {
         Box::new(SetAgreementC::new(i, 1, input.clone()))
@@ -397,22 +428,22 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
 
     const FAULTS_USAGE: &str = "USAGE: wfa-cli faults <sweep|soak|replay|list>\n\
          \n\
-         faults sweep  --scenario NAME [--depth D --seeds S --seed B --threads T\n\
-         \t\t--no-prune --plan-budget N --out FILE]\n\
+         faults sweep  --scenario NAME [--depth D --seeds S --seed B --no-prune\n\
+         \t\t--plan-budget N --out FILE]\n\
          \n\
          \tEnumerates every fault plan of ≤ D components (bounded DFS over\n\
          \tcrash points, starvation stops, FD sample corruption, advice\n\
          \tdelays and — for net-backed scenarios — majority-safe replica\n\
          \tpartitions, drop windows, corruption windows, heals and\n\
          \tcrash/recover pairs inside the recovery horizon), evaluates S\n\
-         \tseeds per plan with panic isolation, shrinks the violations and\n\
-         \tprints them. Majority-safe plans that still lose a quorum\n\
-         \tsurface as typed `quorum-lost` violations. Plans dominated by a\n\
-         \tsurviving superset (extras all pure message loss) are pruned —\n\
-         \t--no-prune force-runs every plan; --plan-budget N caps the plans\n\
-         \tevaluated (deterministic truncation). --out writes the canonical\n\
-         \treport JSON (byte-identical for every --threads value). Exits\n\
-         \tnon-zero if violations were found.\n\
+         \tseeds per plan in one sequential pass with panic isolation,\n\
+         \tshrinks the violations and prints them. Majority-safe plans that\n\
+         \tstill lose a quorum surface as typed `quorum-lost` violations.\n\
+         \tPlans dominated by a surviving superset (extras all pure message\n\
+         \tloss) are pruned — --no-prune force-runs every plan;\n\
+         \t--plan-budget N caps the plans evaluated (deterministic\n\
+         \ttruncation). --out writes the canonical report JSON, a pure\n\
+         \tfunction of the flags. Exits non-zero if violations were found.\n\
          \n\
          faults soak   [--backend shm|net|gossip --ticks N --seed S\n\
          \t\t--intensity calm|storm|mixed --checkpoint-every N --nodes N\n\
@@ -429,7 +460,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
          \tlast checkpoint rather than tick 0; --shrink then drops fault\n\
          \twindows while the violation keeps reproducing. The report\n\
          \tcarries a `recoveries` array and an MTTR table per degradation\n\
-         \tclass, and is byte-identical for any WFA_THREADS value. Exits\n\
+         \tclass, and is byte-identical for identical flags. Exits\n\
          \tnon-zero when an oracle fired.\n\
          \n\
          faults replay <artifact.json>\n\
@@ -452,12 +483,10 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             config.depth = args.get("depth", 2)?;
             config.seeds_per_plan = args.get("seeds", 2)?;
             config.base_seed = args.get("seed", 1)?;
-            let threads: usize = args.get("threads", 0)?;
-            if threads > 0 {
-                config.threads = Some(threads);
-            }
             config.prune = !args.get("no-prune", false)?;
             config.plan_budget = args.get("plan-budget", 0)?;
+            let out = args.value("out");
+            args.reject_unread()?;
             if Scenario::by_name(&config.scenario).is_none() {
                 return Err(format!(
                     "unknown scenario `{}` (try: {})",
@@ -467,19 +496,18 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             }
             let report = sweep(&config);
             println!(
-                "[{}] {} plans ({} pruned, {} run), {} runs ({} worker threads): {} violation(s)",
+                "[{}] {} plans ({} pruned, {} run), {} runs: {} violation(s)",
                 report.scenario,
                 report.plans,
                 report.plans_pruned,
                 report.plans_run,
                 report.runs,
-                config.resolved_threads(),
                 report.violations.len()
             );
             for v in &report.violations {
                 println!("  {v}");
             }
-            if let Some(path) = args.0.get("out") {
+            if let Some(path) = out {
                 std::fs::write(path, report.to_json().to_string())
                     .map_err(|e| format!("writing {path}: {e}"))?;
                 println!("report written to {path}");
@@ -508,8 +536,11 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             cfg.checkpoint_every = args.get("checkpoint-every", cfg.checkpoint_every)?;
             cfg.nodes = args.get("nodes", cfg.nodes)?;
             cfg.inject_bug = args.get("inject-bug", false)?;
+            let (shrink, as_json, out) =
+                (args.get("shrink", false)?, args.get("json", false)?, args.value("out"));
+            args.reject_unread()?;
             let mut report = chaos::soak(&cfg);
-            if args.get("shrink", false)? && report.violation.is_some() {
+            if shrink && report.violation.is_some() {
                 let (shrunk, replays) = chaos::shrink_soak(&report);
                 println!(
                     "shrink   : {} fault(s) -> {} over {replays} re-soak(s)",
@@ -518,12 +549,12 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
                 );
                 report = shrunk;
             }
-            if args.get("json", false)? {
+            if as_json {
                 println!("{}", report.to_json());
             } else {
                 print!("{}", report.render());
             }
-            if let Some(path) = args.0.get("out") {
+            if let Some(path) = out {
                 std::fs::write(path, report.to_json().to_string())
                     .map_err(|e| format!("writing {path}: {e}"))?;
                 println!("artifact written to {path}");
@@ -537,6 +568,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             let Some(path) = argv.get(1) else {
                 return Err(format!("missing artifact path\n\n{FAULTS_USAGE}"));
             };
+            Args::parse(&argv[2..])?.reject_unread()?;
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let json = Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -589,6 +621,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             }
         }
         Some("list") => {
+            Args::parse(&argv[1..])?.reject_unread()?;
             for name in Scenario::catalog() {
                 let sc = Scenario::by_name(name).expect("catalog names resolve");
                 println!("{}", list_row(&sc));
@@ -606,11 +639,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
 /// Runs one of the fixed-seed observability sources and returns its
 /// canonical snapshot plus the recorded event stream (empty for sources
 /// that only count).
-fn obs_source(
-    name: &str,
-    seed: u64,
-    threads: usize,
-) -> Result<(Snapshot, Vec<wfa::obs::span::ObsEvent>), String> {
+fn obs_source(name: &str, seed: u64) -> Result<(Snapshot, Vec<wfa::obs::span::ObsEvent>), String> {
     use wfa::core::harness::Inert;
     use wfa::core::sim::{KcsSimC, KcsSimS};
     use wfa::core::solver::RenamingBuilder;
@@ -642,7 +671,7 @@ fn obs_source(
             run.run(&mut sched, 20_000);
             Ok((obs.snapshot().expect("metrics enabled"), obs.events()))
         }
-        // A small fault sweep; the report's merged per-job snapshot.
+        // A small fault sweep; the report's snapshot.
         "sweep" => {
             use wfa::faults::prelude::{sweep, SweepConfig};
             let mut config = SweepConfig::new("fragile-commit");
@@ -650,9 +679,6 @@ fn obs_source(
             config.seeds_per_plan = 2;
             config.base_seed = seed;
             config.shrink = false;
-            if threads > 0 {
-                config.threads = Some(threads);
-            }
             Ok((sweep(&config).metrics, Vec::new()))
         }
         // An exhaustive interleaving exploration of two renaming automata.
@@ -669,8 +695,8 @@ fn obs_source(
         // (`net`: message/quorum counters, channel spans) or the delta-CRDT
         // gossip backend (`gossip`: round and delta counters, anti-entropy
         // spans, zero messages on the op path), plus step events, all on a
-        // single deterministic schedule (thread-count invariant by
-        // construction — the CI determinism jobs diff their exports).
+        // single deterministic schedule (the CI determinism jobs diff two
+        // exports).
         "net" | "gossip" => {
             let (n, k, stab) = (4usize, 2usize, 200u64);
             let spec = if name == "net" { BackendSpec::net(n) } else { BackendSpec::gossip(n) };
@@ -709,13 +735,12 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
 
     const OBS_USAGE: &str = "USAGE: wfa-cli obs <summary|export|diff>\n\
          \n\
-         obs summary [--source figure2|sweep|explore|net --seed S --threads T]\n\
+         obs summary [--source figure2|sweep|explore|net|gossip --seed S]\n\
          \n\
          \tRuns the fixed-seed source and prints its canonical counter and\n\
-         \thistogram snapshot. --threads sizes the sweep source's worker\n\
-         \tpool; its snapshot is identical for every --threads value.\n\
+         \thistogram snapshot.\n\
          \n\
-         obs export --format jsonl|chrome [--source NAME --seed S --threads T --out FILE]\n\
+         obs export --format jsonl|chrome [--source NAME --seed S --out FILE]\n\
          \n\
          \tExports the source's canonical snapshot and stable-keyed event\n\
          \tstream: `jsonl` (snapshot first, then one event per line) or\n\
@@ -733,8 +758,8 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
             let args = Args::parse(&argv[1..])?;
             let source = args.get("source", "figure2".to_string())?;
             let seed: u64 = args.get("seed", 7)?;
-            let threads: usize = args.get("threads", 0)?;
-            let (snap, events) = obs_source(&source, seed, threads)?;
+            args.reject_unread()?;
+            let (snap, events) = obs_source(&source, seed)?;
             println!("[{source}] canonical metrics snapshot (seed {seed}):");
             for (name, v) in &snap.counters {
                 if *v > 0 {
@@ -757,14 +782,15 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
             let format = args.get("format", "jsonl".to_string())?;
             let source = args.get("source", "figure2".to_string())?;
             let seed: u64 = args.get("seed", 7)?;
-            let threads: usize = args.get("threads", 0)?;
-            let (snap, events) = obs_source(&source, seed, threads)?;
+            let out = args.value("out");
+            args.reject_unread()?;
+            let (snap, events) = obs_source(&source, seed)?;
             let text = match format.as_str() {
                 "jsonl" => to_jsonl(&snap, &events),
                 "chrome" => to_chrome(&events),
                 other => return Err(format!("unknown format `{other}` (try: jsonl, chrome)")),
             };
-            match args.0.get("out") {
+            match out {
                 Some(path) => {
                     std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
                     println!("{format} export ({} bytes) written to {path}", text.len());
@@ -777,6 +803,7 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
             let (Some(a), Some(b)) = (argv.get(1), argv.get(2)) else {
                 return Err(format!("obs diff needs two file operands\n\n{OBS_USAGE}"));
             };
+            Args::parse(&argv[3..])?.reject_unread()?;
             let load = |path: &String| -> Result<Snapshot, String> {
                 let text =
                     std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -908,5 +935,29 @@ mod tests {
             "wait-for-all     n=3 budget=5000 backend=shm (adopt-commit(3))",
         ];
         assert_eq!(rows, expected);
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn retired_thread_flag_is_refused() {
+        let err = cmd_faults(&argv("sweep --scenario ksa --threads 2")).expect_err("must refuse");
+        assert_eq!(err, "unknown flag(s) for this command: --threads");
+        for line in ["summary --source sweep --threads 2", "export --source sweep --threads 8"] {
+            let err = cmd_obs(&argv(line)).expect_err("must refuse");
+            assert!(err.contains("--threads"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn misspelt_flags_are_refused_before_any_work() {
+        // `--tick` (for `--ticks`) used to run the default 2000-tick soak.
+        let err = cmd_faults(&argv("soak --tick 100")).expect_err("must refuse");
+        assert_eq!(err, "unknown flag(s) for this command: --tick");
+        let args = Args::parse(&argv("--n 3 --sed 9 --jsn")).expect("parses");
+        let err = cmd_ksa(&args).expect_err("must refuse");
+        assert_eq!(err, "unknown flag(s) for this command: --jsn, --sed");
     }
 }

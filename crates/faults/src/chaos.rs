@@ -11,8 +11,7 @@
 //! delayed advice uniformly across backends (on shared memory they are the
 //! whole menu). Faults are pre-generated into an explicit [`NetFault`]
 //! timeline before the backend is built, so a soak is a pure function of
-//! its [`SoakConfig`]: same config, byte-identical [`SoakReport`], any
-//! thread count.
+//! its [`SoakConfig`]: same config, byte-identical [`SoakReport`].
 //!
 //! **Online oracles** check invariants continuously while the soak runs:
 //!
@@ -168,8 +167,8 @@ impl Intensity {
 }
 
 /// Everything that determines a soak. Two equal configs produce
-/// byte-identical reports on any machine and any `WFA_THREADS` value — the
-/// engine is single-threaded and consults no ambient state.
+/// byte-identical reports on any machine — the engine is single-threaded
+/// and consults no ambient state.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SoakConfig {
     /// The backend under soak.

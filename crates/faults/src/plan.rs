@@ -10,7 +10,7 @@
 //!
 //! Fault semantics are purely deterministic — a plan plus a seed fully
 //! determines a run — which is what makes violations replayable and sweep
-//! reports byte-identical across worker-thread counts.
+//! reports pure functions of their inputs.
 
 use wfa_net::config::{majority_safe, NetFault};
 

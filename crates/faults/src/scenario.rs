@@ -59,10 +59,10 @@ use wfa_tasks::task::{check_basics, Task, TaskViolation};
 use crate::backend::BackendSpec;
 
 /// Detector constructor: `(pattern, stabilization, seed) → FdGen`.
-pub type MkFd = Arc<dyn Fn(FailurePattern, u64, u64) -> FdGen + Send + Sync>;
+pub type MkFd = Arc<dyn Fn(FailurePattern, u64, u64) -> FdGen>;
 
 /// System factory: `(inputs, detector) → (C-processes, S-processes)`.
-pub type Factory = Arc<dyn Fn(&[Value], FdGen) -> CsProcs + Send + Sync>;
+pub type Factory = Arc<dyn Fn(&[Value], FdGen) -> CsProcs>;
 
 /// A named, fully deterministic fault-injection experiment.
 #[derive(Clone)]

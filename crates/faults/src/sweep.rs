@@ -1,22 +1,20 @@
 //! Systematic fault sweeps: bounded-DFS plan search, panic-isolated
-//! parallel evaluation, deterministic reports.
+//! sequential evaluation, deterministic reports.
 //!
 //! [`PlanSearch`] *enumerates* fault plans (every combination of up to
 //! `depth` atomic faults from a scenario-derived menu) instead of sampling
 //! them — the adversary is exhaustive within its bound, so a clean sweep is
 //! a statement about a space, not a sample. [`sweep`] evaluates every
-//! `(plan, seed)` job on a worker pool; each job runs under `catch_unwind`,
-//! so one torn automaton becomes a [`ViolationKind::Panic`] entry in the
-//! report instead of taking the sweep down.
+//! `(plan, seed)` job in one sequential pass; each job runs under
+//! `catch_unwind`, so one torn automaton becomes a [`ViolationKind::Panic`]
+//! entry in the report instead of taking the sweep down.
 //!
-//! Determinism contract: job seeds derive from `(base_seed, job index)`,
-//! results are assembled in job-index order, and the report serializes no
-//! timing or thread information — `SweepReport::to_json` is byte-identical
-//! for any worker count (`WFA_THREADS=1` vs `8` is CI-enforced).
+//! Determinism contract: job seeds derive from `(base_seed, seed slot)`,
+//! violations are assembled in enumeration order, and the report serializes
+//! no timing — a [`SweepReport`] is a pure function of the scenario, depth,
+//! seeds per plan, base seed, prune switch and plan budget.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use wfa_obs::metrics::{Counter, MetricsHandle, Snapshot};
 
@@ -301,7 +299,8 @@ pub struct SweepConfig {
     pub base_seed: u64,
     /// Shrink violations before reporting.
     pub shrink: bool,
-    /// Worker threads; `None` reads `WFA_THREADS` (default 1).
+    /// Ignored: the sweep is one sequential pass, so there is no worker
+    /// pool to size. Kept only because the benchmark still sets it.
     pub threads: Option<usize>,
     /// Dominance-prune the plan space: a plan whose component set is a
     /// subset of a *surviving* (zero-violation) plan's, where every extra
@@ -329,14 +328,6 @@ impl SweepConfig {
             plan_budget: 0,
         }
     }
-
-    /// The resolved worker count.
-    pub fn resolved_threads(&self) -> usize {
-        self.threads
-            .or_else(|| std::env::var("WFA_THREADS").ok().and_then(|s| s.parse().ok()))
-            .unwrap_or(1)
-            .max(1)
-    }
 }
 
 /// The deterministic outcome of a fault sweep.
@@ -353,15 +344,13 @@ pub struct SweepReport {
     pub plans_run: usize,
     /// `(plan, seed)` jobs evaluated (`plans_run × seeds_per_plan`).
     pub runs: usize,
-    /// All violations, in job order (shrunk if configured); panics appear
-    /// here as [`ViolationKind::Panic`] entries.
+    /// All violations, in enumeration order (shrunk if configured); panics
+    /// appear here as [`ViolationKind::Panic`] entries.
     pub violations: Vec<Violation>,
-    /// The canonical metrics snapshot: each job records into its own
-    /// registry (shard-per-job, no cross-thread contention) and the
-    /// per-job snapshots are merged in job-index order, so the result is
-    /// worker-count invariant. Not part of [`SweepReport::to_json`], whose
-    /// byte format predates the observability layer; export it through
-    /// [`Snapshot::to_json`] instead.
+    /// The canonical metrics snapshot of the whole sweep: every job and
+    /// the plan accounting record into one registry. Not part of
+    /// [`SweepReport::to_json`], whose byte format predates the
+    /// observability layer; export it through [`Snapshot::to_json`] instead.
     pub metrics: Snapshot,
 }
 
@@ -371,7 +360,7 @@ impl SweepReport {
         self.violations.iter().filter(|v| pred(&v.kind)).count()
     }
 
-    /// Canonical serialization — byte-identical across worker counts.
+    /// Canonical serialization — byte-identical for identical inputs.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("scenario".into(), Json::Str(self.scenario.clone())),
@@ -395,9 +384,9 @@ pub fn job_seed(base: u64, idx: usize) -> u64 {
     base.wrapping_mul(1_000_003).wrapping_add(idx as u64)
 }
 
-/// Runs one sweep: enumerates plans, evaluates every `(plan, seed)` job on
-/// `resolved_threads()` workers with per-job panic isolation, and returns
-/// the violations in deterministic job order.
+/// Runs one sweep: enumerates plans, evaluates every `(plan, seed)` job in
+/// one sequential pass with per-job panic isolation, and returns the
+/// violations in enumeration order.
 ///
 /// # Panics
 ///
@@ -447,143 +436,97 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
             .fold(0u128, |m, (i, _)| m | (1u128 << i))
     };
 
-    // Execute in waves of descending combination size: every potential
-    // dominator (a strict superset) finishes in an earlier wave, so by the
-    // time a plan is considered its dominators' verdicts are all in.
-    // Equal-size sets cannot dominate each other (a subset of equal
-    // cardinality is equal), so the barrier between waves is the only
-    // ordering pruning needs — and it is thread-count independent.
+    // Evaluate in descending combination size: every potential dominator
+    // (a strict superset) has its verdict in by the time a plan is
+    // considered. Equal-size sets cannot dominate each other (a subset of
+    // equal cardinality is equal), so the order among them is immaterial.
     let mut order: Vec<usize> = (0..plans.len()).collect();
     order.sort_by_key(|i| std::cmp::Reverse(plans[*i].1.len()));
 
     let seeds = config.seeds_per_plan as usize;
-    let slots: Mutex<Vec<JobSlot>> = Mutex::new(vec![None; plans.len() * seeds]);
+    // One registry for the whole sweep: counters and histograms only add,
+    // so it holds exactly the sum of what each job recorded.
+    let obs = MetricsHandle::counters();
+    // Each job's violations at its enumeration-order slot (plan index ×
+    // seed slot); a pruned plan's slots stay empty.
+    let mut slots: Vec<Vec<Violation>> = vec![Vec::new(); plans.len() * seeds];
     let mut clean_masks: Vec<u128> = Vec::new();
     let mut plans_run = 0usize;
-
-    let mut w = 0;
-    while w < order.len() {
-        let size = plans[order[w]].1.len();
-        let mut runnable = Vec::new();
-        while w < order.len() && plans[order[w]].1.len() == size {
-            let pi = order[w];
-            w += 1;
-            let qm = mask_of(&plans[pi].1);
-            // Prune iff some surviving plan's set is a superset whose
-            // extras are all pure-loss components: the subset plan cannot
-            // newly violate. The pruned plan's own mask joins the clean
-            // set — its cleanliness is implied, so it dominates onward.
-            let dominated = config.prune
-                && maskable
-                && clean_masks.iter().any(|pm| qm & !pm == 0 && (pm & !qm) & !monotone == 0);
-            if dominated {
-                clean_masks.push(qm);
-            } else {
-                runnable.push(pi);
-            }
+    for pi in order {
+        let (plan, combo) = &plans[pi];
+        let qm = mask_of(combo);
+        // Prune iff some surviving plan's set is a superset whose extras
+        // are all pure-loss components: the subset plan cannot newly
+        // violate. The pruned plan's own mask joins the clean set — its
+        // cleanliness is implied, so it dominates onward.
+        let dominated = config.prune
+            && maskable
+            && clean_masks.iter().any(|pm| qm & !pm == 0 && (pm & !qm) & !monotone == 0);
+        if dominated {
+            clean_masks.push(qm);
+            continue;
         }
-        plans_run += runnable.len();
-        let jobs: Vec<(usize, usize)> =
-            runnable.iter().flat_map(|pi| (0..seeds).map(move |s| (*pi, s))).collect();
-        run_wave(&sc, config, &plans, &jobs, &slots);
-        // Harvest the wave's verdicts before the next (smaller) wave is
-        // admitted: a plan survives iff every seed produced zero
-        // violations (a panic counts — it is one in the report).
-        if maskable {
-            let held = slots.lock().expect("slot lock");
-            for pi in runnable {
-                let clean = (0..seeds)
-                    .all(|s| held[pi * seeds + s].as_ref().is_some_and(|(vs, _)| vs.is_empty()));
-                if clean {
-                    clean_masks.push(mask_of(&plans[pi].1));
-                }
-            }
+        plans_run += 1;
+        // A plan survives iff every seed produced zero violations (a panic
+        // counts — it is one in the report).
+        let mut clean = true;
+        for s in 0..seeds {
+            let vs = run_job(&sc, config, plan, job_seed(config.base_seed, s), &obs);
+            clean &= vs.is_empty();
+            slots[pi * seeds + s] = vs;
+        }
+        if clean && maskable {
+            clean_masks.push(qm);
         }
     }
 
-    // Violations and metrics assemble in enumeration order (plan index ×
-    // seed slot), not wave order — the report stays byte-identical no
-    // matter how the waves interleaved across workers.
-    let mut metrics = Snapshot::default();
-    let mut violations = Vec::new();
-    let mut runs = 0;
-    for (vs, snap) in slots.into_inner().expect("slot lock").into_iter().flatten() {
-        runs += 1;
-        violations.extend(vs);
-        metrics.merge(&snap);
-    }
-    let sweep_obs = MetricsHandle::counters();
-    sweep_obs.add(Counter::SweepPlansGenerated, generated as u64);
-    sweep_obs.add(Counter::SweepPlansPruned, (generated - plans_run) as u64);
-    sweep_obs.add(Counter::SweepPlansRun, plans_run as u64);
-    metrics.merge(&sweep_obs.snapshot().expect("sweep registry is enabled"));
+    obs.add(Counter::SweepPlansGenerated, generated as u64);
+    obs.add(Counter::SweepPlansPruned, (generated - plans_run) as u64);
+    obs.add(Counter::SweepPlansRun, plans_run as u64);
     SweepReport {
         scenario: sc.name,
         plans: generated,
         plans_pruned: generated - plans_run,
         plans_run,
-        runs,
-        violations,
-        metrics,
+        runs: plans_run * seeds,
+        violations: slots.into_iter().flatten().collect(),
+        metrics: obs.snapshot().expect("sweep registry is enabled"),
     }
 }
 
-/// One enumeration-order result slot: a job's violations and metrics
-/// snapshot, `None` until (or unless — pruned plans never run) it fills.
-type JobSlot = Option<(Vec<Violation>, Snapshot)>;
-
-/// Evaluates one wave's `(plan index, seed slot)` jobs on the worker pool,
-/// depositing each job's violations and metrics snapshot into its
-/// enumeration-order slot.
-fn run_wave(
+/// Evaluates one `(plan, seed)` job under `catch_unwind`, recording into
+/// `obs`. A panicking run becomes one [`ViolationKind::Panic`] violation
+/// and keeps the counters it reached (the same prefix on every
+/// re-execution, so still deterministic).
+fn run_job(
     sc: &Scenario,
     config: &SweepConfig,
-    plans: &[(FaultPlan, Vec<usize>)],
-    jobs: &[(usize, usize)],
-    slots: &Mutex<Vec<JobSlot>>,
-) {
-    let seeds = config.seeds_per_plan as usize;
-    let next = AtomicUsize::new(0);
-    let workers = config.resolved_threads().min(jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((pi, s)) = jobs.get(i).copied() else {
-                    return;
-                };
-                let plan = &plans[pi].0;
-                let seed = job_seed(config.base_seed, s);
-                // One registry per job, created outside `catch_unwind`: a
-                // panicking run still reports the counters it reached (the
-                // same prefix on every re-execution, so still deterministic).
-                let obs = MetricsHandle::counters();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut vs = run_plan_observed(sc, plan, seed, &obs).violations;
-                    if config.shrink {
-                        for v in &mut vs {
-                            obs.add(Counter::ShrinkReplays, shrink(v) as u64);
-                        }
-                    }
-                    vs
-                }));
-                let vs = result.unwrap_or_else(|payload| {
-                    vec![Violation {
-                        scenario: sc.name.clone(),
-                        seed,
-                        plan: plan.clone(),
-                        kind: ViolationKind::Panic { payload: payload_string(payload.as_ref()) },
-                        schedule: Vec::new(),
-                        original_len: 0,
-                    }]
-                });
-                obs.bump(Counter::SweepJobs);
-                obs.add(Counter::SweepViolations, vs.len() as u64);
-                let snap = obs.snapshot().expect("job registry is enabled");
-                slots.lock().expect("slot lock")[pi * seeds + s] = Some((vs, snap));
-            });
+    plan: &FaultPlan,
+    seed: u64,
+    obs: &MetricsHandle,
+) -> Vec<Violation> {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let mut vs = run_plan_observed(sc, plan, seed, obs).violations;
+        if config.shrink {
+            for v in &mut vs {
+                obs.add(Counter::ShrinkReplays, shrink(v) as u64);
+            }
         }
+        vs
+    }));
+    let vs = result.unwrap_or_else(|payload| {
+        vec![Violation {
+            scenario: sc.name.clone(),
+            seed,
+            plan: plan.clone(),
+            kind: ViolationKind::Panic { payload: payload_string(payload.as_ref()) },
+            schedule: Vec::new(),
+            original_len: 0,
+        }]
     });
+    obs.bump(Counter::SweepJobs);
+    obs.add(Counter::SweepViolations, vs.len() as u64);
+    vs
 }
 
 #[cfg(test)]
@@ -675,27 +618,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_thread_count_invariant() {
+    fn fragile_sweep_report_and_metrics_are_pinned() {
         let mut config = SweepConfig::new("fragile-commit");
         config.depth = 1;
         config.seeds_per_plan = 2;
         config.shrink = false; // keep the test fast; shrinking is deterministic anyway
-        config.threads = Some(1);
-        let serial = sweep(&config);
-        config.threads = Some(8);
-        let parallel = sweep(&config);
-        assert_eq!(serial.to_json().to_string(), parallel.to_json().to_string());
-        // The merged metrics snapshot is part of the determinism contract.
-        assert_eq!(
-            serial.metrics.to_json().to_string(),
-            parallel.metrics.to_json().to_string()
-        );
-        assert_eq!(serial.metrics.counter("sweep_jobs"), Some(serial.runs as u64));
-        assert_eq!(
-            serial.metrics.counter("sweep_violations"),
-            Some(serial.violations.len() as u64)
-        );
-        assert!(serial.metrics.counter("schedule_slots").unwrap_or(0) > 0);
+        let r = sweep(&config);
+        // The metrics snapshot is part of the determinism contract.
+        assert_eq!(r.metrics.counter("sweep_jobs"), Some(r.runs as u64));
+        assert_eq!(r.metrics.counter("sweep_violations"), Some(r.violations.len() as u64));
+        assert!(r.metrics.counter("schedule_slots").unwrap_or(0) > 0);
+        let counts = (r.plans, r.plans_pruned, r.plans_run, r.runs, r.violations.len());
+        assert_eq!(counts, (17, 0, 17, 34, 2));
+        let digests = (r.to_json().digest(), r.metrics.to_json().digest());
+        assert_eq!(digests, (0xac8e_cbed_ba4a_0ff2, 0x327a_fb67_758e_67cb), "{digests:#x?}");
     }
 
     #[test]
@@ -710,7 +646,6 @@ mod tests {
             config.depth = if scenario == "ksa-net" { 2 } else { 1 };
             config.seeds_per_plan = 1;
             config.shrink = false;
-            config.threads = Some(4);
             config.prune = false;
             let full = sweep(&config);
             config.prune = true;
@@ -727,6 +662,14 @@ mod tests {
             assert_eq!(pruned.plans_run + pruned.plans_pruned, pruned.plans, "{scenario}");
             if scenario == "ksa-net" {
                 assert!(pruned.plans_pruned > 0, "net menus must actually prune");
+                // Descending-size order fixes every prune decision: the
+                // pruned report and metrics are pinned.
+                let r = &pruned;
+                let counts = (r.plans, r.plans_pruned, r.plans_run, r.runs, r.violations.len());
+                assert_eq!(counts, (433, 30, 403, 403, 12));
+                let digests = (r.to_json().digest(), r.metrics.to_json().digest());
+                let pin = (0x062a_e461_6ed5_58fa, 0x9511_7299_8811_6a6a);
+                assert_eq!(digests, pin, "{digests:#x?}");
             } else {
                 assert_eq!(pruned.plans_pruned, 0, "shm menus must never prune");
             }
@@ -744,22 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_net_sweep_is_thread_count_invariant() {
-        // Wave barriers make the prune decisions independent of the worker
-        // count; the canonical report and merged metrics must not move.
-        let mut config = SweepConfig::new("ksa-net");
-        config.depth = 2;
-        config.seeds_per_plan = 1;
-        config.shrink = false;
-        config.threads = Some(1);
-        let serial = sweep(&config);
-        config.threads = Some(8);
-        let parallel = sweep(&config);
-        assert_eq!(serial.to_json().to_string(), parallel.to_json().to_string());
-        assert_eq!(serial.metrics.to_json().to_string(), parallel.metrics.to_json().to_string());
-    }
-
-    #[test]
     fn gossip_sweeps_never_dominance_prune() {
         // Loss is not monotone over gossip (it changes observed values via
         // staleness), so the pruned and unpruned sweeps must run the exact
@@ -768,7 +695,6 @@ mod tests {
         config.depth = 1;
         config.seeds_per_plan = 1;
         config.shrink = false;
-        config.threads = Some(4);
         config.prune = false;
         let full = sweep(&config);
         config.prune = true;
@@ -783,7 +709,6 @@ mod tests {
         config.depth = 1;
         config.seeds_per_plan = 1;
         config.shrink = false;
-        config.threads = Some(2);
         config.plan_budget = 5;
         let a = sweep(&config);
         let b = sweep(&config);
@@ -799,7 +724,6 @@ mod tests {
         config.depth = 1;
         config.seeds_per_plan = 4;
         config.shrink = false;
-        config.threads = Some(4);
         let report = sweep(&config);
         assert!(report.count_kind(|k| matches!(k, ViolationKind::Safety { .. })) > 0);
     }
@@ -810,7 +734,6 @@ mod tests {
         config.depth = 1;
         config.seeds_per_plan = 1;
         config.shrink = false;
-        config.threads = Some(2);
         let report = sweep(&config);
         assert!(report.count_kind(|k| matches!(k, ViolationKind::WaitFreedom { .. })) > 0);
         // And no safety violations: wait-for-all is safe, just not live.

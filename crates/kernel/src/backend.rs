@@ -179,7 +179,7 @@ impl fmt::Display for Resolution {
 /// `Clone`/`Debug`/`Default` via [`MemoryBackend::clone_backend`],
 /// [`MemoryBackend::label`] and [`SharedMemory`] (the same pattern as
 /// `DynProcess`).
-pub trait MemoryBackend: Send + Sync {
+pub trait MemoryBackend {
     /// Performs an atomic read of `key` on behalf of `me` at logical time
     /// `now`.
     fn read(&mut self, me: Pid, now: u64, key: RegKey) -> Value;

@@ -28,8 +28,8 @@
 //! Determinism discipline: a network run is a pure function of
 //! (`NetConfig`, operation sequence). No wall clock, no RNG state, no
 //! thread dependence — the same contract the kernel scheduler and the obs
-//! canonical snapshot keep, so `obs export` bytes are identical across
-//! `WFA_THREADS` settings (CI-enforced).
+//! canonical snapshot keep, so `obs export` bytes repeat run for run
+//! (CI-enforced).
 //!
 //! Replicas can crash (volatile or durable store) and recover; a recovered
 //! replica refuses to serve until it has re-synced from a majority of its

@@ -3,7 +3,7 @@
 //! Both exporters consume a [`Snapshot`] plus a stable-sorted event stream
 //! and serialize through the canonical [`Json`] encoder, so the output is
 //! whitespace-free and byte-identical whenever the inputs are equal — the
-//! CI determinism matrix diffs these bytes across `WFA_THREADS=1` and `=8`.
+//! CI determinism jobs diff these bytes between two runs of each source.
 //!
 //! All timestamps are *logical* time (the run clock), not wall-clock; a
 //! Chrome trace of a run is a picture of the schedule, not of the host.

@@ -81,6 +81,15 @@ impl Json {
         }
     }
 
+    /// A `DefaultHasher` digest of the canonical serialization: what tests
+    /// pin in place of a whole report.
+    pub fn digest(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.to_string().hash(&mut h);
+        h.finish()
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

@@ -6,15 +6,14 @@
 //!
 //! * [`metrics`] — a registry of counters and log-scale histograms that is
 //!   zero-cost when disabled ([`metrics::MetricsHandle::disabled`] is a
-//!   single branch per call), shard-per-job during parallel sweeps, and
-//!   merges into a canonical **thread-count-invariant** snapshot;
+//!   single branch per call) and reads out as a canonical, deterministic
+//!   snapshot;
 //! * [`span`] — typed spans and events in a bounded ring with the stable
 //!   ordering key `(logical_time, pid, seq)`, generalizing the kernel's
 //!   step trace; [`span::Op`] is the single step formatter in the tree;
 //! * [`export`] — canonical JSONL and Chrome `trace_event` exporters whose
-//!   output is byte-identical across worker counts (CI diffs them at
-//!   `WFA_THREADS=1` vs `8`), plus [`span::timeline`]'s ASCII space-time
-//!   diagram.
+//!   output is byte-identical for identical runs (CI diffs two exports of
+//!   each source), plus [`span::timeline`]'s ASCII space-time diagram.
 //!
 //! [`local`] carries the current handle through a thread-local so automata
 //! (which must stay `Clone + Hash` for the kernel's `DynProcess`) can record

@@ -3,15 +3,11 @@
 //! # Determinism discipline
 //!
 //! Every metric depends only on the run's inputs (seeds, plans, limits) —
-//! never on worker count or scheduling — so a **canonical snapshot**
-//! ([`MetricsHandle::snapshot`]) serializes to the same bytes for
-//! `WFA_THREADS=1` and `=8` (CI-enforced). A new metric must keep that
-//! property; wall-clock timings belong in the benchmark, not here.
-//!
-//! Parallel sweeps follow the `wfa-faults::sweep` index-slot discipline:
-//! each job records into its own registry, and the per-job snapshots are
-//! merged in job-index order ([`Snapshot::merge`] is commutative, so the
-//! order is a convention, not a load-bearing trick).
+//! never on the host or wall clock — so a **canonical snapshot**
+//! ([`MetricsHandle::snapshot`]) serializes to the same bytes for the same
+//! inputs (CI runs each source twice and diffs the exports). A new metric
+//! must keep that property; wall-clock timings belong in the benchmark,
+//! not here.
 //!
 //! # Cost when disabled
 //!
@@ -377,7 +373,7 @@ impl MetricsHandle {
     }
 
     /// A fresh registry recording counters and histograms only (no events) —
-    /// what parallel sweeps give each job shard.
+    /// what a fault sweep records into.
     pub fn counters() -> MetricsHandle {
         MetricsHandle(Some(Arc::new(Registry::new(0))))
     }
@@ -507,8 +503,7 @@ impl Snapshot {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Adds every counter and bucket of `other` into `self` (commutative;
-    /// sweeps merge per-job snapshots in job-index order by convention).
+    /// Adds every counter and bucket of `other` into `self` (commutative).
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(n, _)| n == name) {

@@ -41,10 +41,7 @@ impl Error for TaskViolation {}
 ///
 /// Implementations must satisfy the paper's closure conditions; the
 /// `closure` integration tests exercise them for every concrete task.
-///
-/// `Send + Sync` so task handles can be shared with the fault sweep's
-/// worker threads: every scenario holds its task.
-pub trait Task: Send + Sync {
+pub trait Task {
     /// Task name for reports (e.g. `"2-set agreement"`).
     fn name(&self) -> String;
 

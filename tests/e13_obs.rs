@@ -8,10 +8,10 @@
 //! 2. **Exact when on** — a fixed-seed run produces *exact*, hard-coded
 //!    counter values (any drift in the kernel's step accounting shows up
 //!    here first).
-//! 3. **Thread-count invariant** — canonical snapshots and every exporter
-//!    byte-stream are identical for 1 and 8 workers of the fault sweep
-//!    (shard-per-job registries merged in job order); the model-check
-//!    explorer is one sequential pass, so its snapshot just repeats.
+//! 3. **Pinned and repeatable** — the fault sweep's canonical report and
+//!    snapshot are pinned by digest, and every exporter byte-stream
+//!    repeats; the sweep and the model-check explorer are each one
+//!    sequential pass.
 
 use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 use wfa::core::harness::EfdRun;
@@ -129,21 +129,21 @@ fn e13_event_exports_are_deterministic_and_valid() {
 }
 
 #[test]
-fn e13_sweep_snapshot_is_thread_count_invariant() {
+fn e13_sweep_snapshot_is_pinned() {
     use wfa::faults::prelude::{sweep, SweepConfig};
-    let snapshot_for = |threads: usize| {
-        let mut config = SweepConfig::new("fragile-commit");
-        config.depth = 1;
-        config.seeds_per_plan = 2;
-        config.shrink = false;
-        config.threads = Some(threads);
-        sweep(&config).metrics
-    };
-    let (s1, s8) = (snapshot_for(1), snapshot_for(8));
-    assert_eq!(s1.to_json().to_string(), s8.to_json().to_string());
-    assert!(s1.counter("sweep_jobs").unwrap_or(0) > 0);
-    assert!(s1.counter("plan_cost").is_none(), "plan_cost is a histogram, not a counter");
-    assert!(s1.hists.iter().any(|(n, b)| n == "plan_cost" && !b.is_empty()));
+    let mut config = SweepConfig::new("fragile-commit");
+    config.depth = 1;
+    config.seeds_per_plan = 2;
+    config.shrink = false;
+    let r = sweep(&config);
+    let counts = (r.plans, r.plans_pruned, r.plans_run, r.runs, r.violations.len());
+    assert_eq!(counts, (17, 0, 17, 34, 2));
+    let digests = (r.to_json().digest(), r.metrics.to_json().digest());
+    assert_eq!(digests, (0xac8e_cbed_ba4a_0ff2, 0x327a_fb67_758e_67cb), "{digests:#x?}");
+    let s = &r.metrics;
+    assert!(s.counter("sweep_jobs").unwrap_or(0) > 0);
+    assert!(s.counter("plan_cost").is_none(), "plan_cost is a histogram, not a counter");
+    assert!(s.hists.iter().any(|(n, b)| n == "plan_cost" && !b.is_empty()));
 }
 
 #[test]

@@ -57,9 +57,8 @@ fn e19_ten_k_tick_soaks_are_clean_on_every_backend() {
 #[test]
 fn e19_soak_reports_are_byte_deterministic() {
     // The whole report — metrics snapshot included — must be reproducible
-    // bit for bit. (The CI smoke job additionally diffs these reports
-    // across WFA_THREADS=1 and 8; the engine is single-threaded by
-    // construction, so both comparisons guard the same invariant.)
+    // bit for bit. (The CI smoke job additionally runs each CLI soak twice
+    // and diffs the reports.)
     for backend in [SoakBackend::Shm, SoakBackend::Net, SoakBackend::Gossip] {
         let c = cfg(backend, 4_000);
         let (a, b) = (soak(&c), soak(&c));
