@@ -47,6 +47,28 @@ use wfa::tasks::agreement::SetAgreement;
 use wfa::tasks::renaming::Renaming;
 use wfa::tasks::task::Task;
 
+/// Writes to stdout like `print!`, except that a reader closing the pipe
+/// early (`wfa-cli faults list | head -1`) is not an error: the rest of the
+/// output is dropped and the command ends with its own exit status instead
+/// of panicking.
+fn write_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    () => { write_out(format_args!("\n")) };
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 /// The register substrate named by `--backend`: the in-process shared
 /// memory (`shm`, the default), the ABD emulation over `--net-nodes`
 /// replicas (`net`) — split into `--shards` independent replica groups
@@ -145,11 +167,11 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
     let pattern = wfa::fd::environment::Environment::up_to(n, crashes.min(n - 1))
         .sample(seed, stab.max(1));
     if !as_json {
-        println!("pattern  : {pattern}");
+        outln!("pattern  : {pattern}");
     }
     let fd = FdGen::vector_omega_k(pattern, k, stab, seed);
     if !as_json {
-        println!("detector : {} (stab {stab})", fd.name());
+        outln!("detector : {} (stab {stab})", fd.name());
     }
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
     let c: Vec<Box<dyn DynProcess>> = inputs
@@ -211,22 +233,22 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
             ),
             ("metrics".into(), obs.snapshot().expect("metrics enabled").to_json()),
         ]);
-        println!("{obj}");
+        outln!("{obj}");
     } else {
         for (i, (inp, out)) in report.input.iter().zip(&report.output).enumerate() {
-            println!("C{i}: input={inp} output={out} ({} own steps)", report.c_steps[i]);
+            outln!("C{i}: input={inp} output={out} ({} own steps)", report.c_steps[i]);
         }
         for d in run.executor.degradations() {
-            println!("degraded : {d}");
+            outln!("degraded : {d}");
         }
         for r in run.executor.resolutions() {
-            println!("resolved : {r}");
+            outln!("resolved : {r}");
         }
     }
     match (&report.verdict, slots) {
         (Ok(()), Some(slots)) => {
             if !as_json {
-                println!("ok: all decided in {slots} slots, Δ satisfied");
+                outln!("ok: all decided in {slots} slots, Δ satisfied");
             }
             Ok(())
         }
@@ -284,12 +306,12 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
             ),
             ("metrics".into(), obs.snapshot().expect("metrics enabled").to_json()),
         ]);
-        println!("{obj}");
+        outln!("{obj}");
     } else {
-        println!("(j = {j}) max observed name over {seeds} seeded k-concurrent ensembles:");
-        println!("{:>4} {:>8} {:>8}", "k", "bound", "observed");
+        outln!("(j = {j}) max observed name over {seeds} seeded k-concurrent ensembles:");
+        outln!("{:>4} {:>8} {:>8}", "k", "bound", "observed");
         for (k, bound, observed) in &rows {
-            println!("{k:>4} {bound:>8} {observed:>8}");
+            outln!("{k:>4} {bound:>8} {observed:>8}");
         }
     }
     Ok(())
@@ -299,7 +321,12 @@ fn cmd_hierarchy(args: &Args) -> Result<(), String> {
     let n: usize = args.get("n", 4)?;
     let runs: u32 = args.get("runs", 400)?;
     args.reject_unread()?;
-    println!("Theorem-10 classification over n = {n} ({runs} runs per cell)");
+    // The renaming row classifies strong (n-1)-renaming, which needs at
+    // least two names and fewer names than processes.
+    if n < 3 {
+        return Err(format!("hierarchy needs --n 3 or more, got {n}"));
+    }
+    outln!("Theorem-10 classification over n = {n} ({runs} runs per cell)");
     for k_task in 1..=n {
         let task: Arc<dyn Task> = Arc::new(SetAgreement::new(n, k_task));
         let t2 = task.clone();
@@ -315,15 +342,14 @@ fn cmd_hierarchy(args: &Args) -> Result<(), String> {
                 ProbeOutcome::Stuck { .. } => " ∅",
             })
             .collect();
-        println!("{:<22}{}  → class {:?}", task.name(), cells, level);
+        outln!("{:<22}{}  → class {:?}", task.name(), cells, level);
     }
-    let j = (n - 1).max(2);
-    let task: Arc<dyn Task> = Arc::new(Renaming::strong(n, j));
+    let task: Arc<dyn Task> = Arc::new(Renaming::strong(n, n - 1));
     let algo = move |i: usize, _input: &Value| {
         Box::new(RenamingFig4::new(i, 4)) as Box<dyn DynProcess>
     };
     let (level, _) = concurrency_profile(&task, &algo, n.min(3), runs, 300_000, 13);
-    println!("{:<22}  → class {:?}", task.name(), level);
+    outln!("{:<22}  → class {:?}", task.name(), level);
     Ok(())
 }
 
@@ -331,11 +357,11 @@ fn cmd_refute(args: &Args) -> Result<(), String> {
     args.reject_unread()?;
     let cand = |i: usize| Box::new(RenamingFig4::new(i, 4)) as Box<dyn DynProcess>;
     let r = refute_strong_2_renaming(&cand, &[0, 1, 2], Limits::default());
-    println!("colliding solo slots: p{} and p{}", r.colliding.0, r.colliding.1);
-    println!("states explored     : {}", r.report.states);
+    outln!("colliding solo slots: p{} and p{}", r.colliding.0, r.colliding.1);
+    outln!("states explored     : {}", r.report.states);
     match (&r.report.violation, &r.report.undecided_cycle) {
         (Some((reason, sched)), _) => {
-            println!("counterexample      : {reason} (schedule length {})", sched.len());
+            outln!("counterexample      : {reason} (schedule length {})", sched.len());
             // Replay the violating schedule under the observability layer
             // and render it as a space-time timeline.
             let (a, b) = r.colliding;
@@ -356,11 +382,11 @@ fn cmd_refute(args: &Args) -> Result<(), String> {
             )));
             let mut replay = Replay::new(sched.clone());
             run_schedule(&mut ex, &mut replay, &mut NullEnv, 10_000);
-            println!("\nviolating schedule (r = read, w = write, s = snapshot, D = decide):");
-            println!("{}", timeline(&obs.events(), 2));
+            outln!("\nviolating schedule (r = read, w = write, s = snapshot, D = decide):");
+            outln!("{}", timeline(&obs.events(), 2));
         }
         (None, Some(sched)) => {
-            println!("counterexample      : forever-undecided cycle at depth {}", sched.len())
+            outln!("counterexample      : forever-undecided cycle at depth {}", sched.len())
         }
         _ => return Err("no counterexample found (Lemma 11 violated?!)".into()),
     }
@@ -401,10 +427,10 @@ fn cmd_extract(args: &Args) -> Result<(), String> {
             }
         }
     }
-    println!("samples recorded: {}", history.len());
+    outln!("samples recorded: {}", history.len());
     match check_anti_omega_k(&pattern, &history, 1, 5_000) {
         Some(w) => {
-            println!("¬Ω1 extracted: correct S{} excluded from τ = {}", w.who, w.tau);
+            outln!("¬Ω1 extracted: correct S{} excluded from τ = {}", w.who, w.tau);
             Ok(())
         }
         None => Err("extraction did not stabilize within the budget".into()),
@@ -495,7 +521,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
                 ));
             }
             let report = sweep(&config);
-            println!(
+            outln!(
                 "[{}] {} plans ({} pruned, {} run), {} runs: {} violation(s)",
                 report.scenario,
                 report.plans,
@@ -505,12 +531,12 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
                 report.violations.len()
             );
             for v in &report.violations {
-                println!("  {v}");
+                outln!("  {v}");
             }
             if let Some(path) = out {
                 std::fs::write(path, report.to_json().to_string())
                     .map_err(|e| format!("writing {path}: {e}"))?;
-                println!("report written to {path}");
+                outln!("report written to {path}");
             }
             if report.violations.is_empty() {
                 Ok(())
@@ -542,7 +568,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             let mut report = chaos::soak(&cfg);
             if shrink && report.violation.is_some() {
                 let (shrunk, replays) = chaos::shrink_soak(&report);
-                println!(
+                outln!(
                     "shrink   : {} fault(s) -> {} over {replays} re-soak(s)",
                     report.timeline.faults.len(),
                     shrunk.timeline.faults.len()
@@ -550,14 +576,14 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
                 report = shrunk;
             }
             if as_json {
-                println!("{}", report.to_json());
+                outln!("{}", report.to_json());
             } else {
-                print!("{}", report.render());
+                out!("{}", report.render());
             }
             if let Some(path) = out {
                 std::fs::write(path, report.to_json().to_string())
                     .map_err(|e| format!("writing {path}: {e}"))?;
-                println!("artifact written to {path}");
+                outln!("artifact written to {path}");
             }
             match &report.violation {
                 None => Ok(()),
@@ -576,15 +602,15 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             // stored timeline and diff the verdicts structurally.
             if wfa::faults::chaos::is_soak_artifact(&json) {
                 let (fresh, diff) = wfa::faults::chaos::replay_soak(&json)?;
-                print!("{}", fresh.render());
+                out!("{}", fresh.render());
                 return if diff.is_empty() {
-                    println!("reproduced: soak artifact verdict matches on replay");
+                    outln!("reproduced: soak artifact verdict matches on replay");
                     Ok(())
                 } else {
-                    println!("NOT reproduced: {} field(s) differ", diff.len());
-                    println!("{:<14} {:>16} {:>16}", "field", "artifact", "replay");
+                    outln!("NOT reproduced: {} field(s) differ", diff.len());
+                    outln!("{:<14} {:>16} {:>16}", "field", "artifact", "replay");
                     for (field, old, new) in &diff {
-                        println!("{field:<14} {old:>16} {new:>16}");
+                        outln!("{field:<14} {old:>16} {new:>16}");
                     }
                     Err(format!("soak artifact did not reproduce ({} field(s) differ)", diff.len()))
                 };
@@ -609,7 +635,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             for v in &violations {
                 let verdict = replay(v)?;
                 let mark = if verdict.reproduced { "reproduced" } else { "NOT reproduced" };
-                println!("{mark}: {v}\n  {}", verdict.detail);
+                outln!("{mark}: {v}\n  {}", verdict.detail);
                 if !verdict.reproduced {
                     failed += 1;
                 }
@@ -624,12 +650,12 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             Args::parse(&argv[1..])?.reject_unread()?;
             for name in Scenario::catalog() {
                 let sc = Scenario::by_name(name).expect("catalog names resolve");
-                println!("{}", list_row(&sc));
+                outln!("{}", list_row(&sc));
             }
             Ok(())
         }
         Some("help") | None => {
-            println!("{FAULTS_USAGE}");
+            outln!("{FAULTS_USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown faults subcommand `{other}`\n\n{FAULTS_USAGE}")),
@@ -760,20 +786,20 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
             let seed: u64 = args.get("seed", 7)?;
             args.reject_unread()?;
             let (snap, events) = obs_source(&source, seed)?;
-            println!("[{source}] canonical metrics snapshot (seed {seed}):");
+            outln!("[{source}] canonical metrics snapshot (seed {seed}):");
             for (name, v) in &snap.counters {
                 if *v > 0 {
-                    println!("  {name:<24} {v}");
+                    outln!("  {name:<24} {v}");
                 }
             }
             for (name, buckets) in &snap.hists {
                 if !buckets.is_empty() {
                     let total: u64 = buckets.iter().map(|(_, c)| c).sum();
-                    println!("  {name:<24} {total} obs over {} log2 buckets", buckets.len());
+                    outln!("  {name:<24} {total} obs over {} log2 buckets", buckets.len());
                 }
             }
             if !events.is_empty() {
-                println!("  {:<24} {}", "events", events.len());
+                outln!("  {:<24} {}", "events", events.len());
             }
             Ok(())
         }
@@ -793,9 +819,9 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
             match out {
                 Some(path) => {
                     std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-                    println!("{format} export ({} bytes) written to {path}", text.len());
+                    outln!("{format} export ({} bytes) written to {path}", text.len());
                 }
-                None => print!("{text}"),
+                None => out!("{text}"),
             }
             Ok(())
         }
@@ -818,17 +844,17 @@ fn cmd_obs(argv: &[String]) -> Result<(), String> {
             let (sa, sb) = (load(a)?, load(b)?);
             let diff = sa.diff(&sb);
             if diff.is_empty() {
-                println!("snapshots agree on all {} counters", sa.counters.len());
+                outln!("snapshots agree on all {} counters", sa.counters.len());
                 Ok(())
             } else {
                 for (name, va, vb) in &diff {
-                    println!("{name:<24} {va:>12} {vb:>12}");
+                    outln!("{name:<24} {va:>12} {vb:>12}");
                 }
                 Err(format!("{} counter(s) differ", diff.len()))
             }
         }
         Some("help") | None => {
-            println!("{OBS_USAGE}");
+            outln!("{OBS_USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown obs subcommand `{other}`\n\n{OBS_USAGE}")),
@@ -896,7 +922,7 @@ fn main() -> ExitCode {
         "refute" => cmd_refute(&args),
         "extract" => cmd_extract(&args),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),

@@ -237,6 +237,17 @@ pub trait MemoryBackend {
         false
     }
 
+    /// `true` iff operations on distinct keys commute: applying two
+    /// operations by different processes in either order leaves the same
+    /// backend state and returns the same values whenever they touch
+    /// different keys or both only read. The model checker relies on it to
+    /// skip interleavings it has proved equivalent. `false` — the default —
+    /// is always safe; a backend whose operations share state beyond their
+    /// key (a simulated network, replica clocks) must keep it.
+    fn ops_commute_by_key(&self) -> bool {
+        false
+    }
+
     /// Concrete-type escape hatch for backends that expose run oracles
     /// beyond the register interface. Its remaining callers are the chaos
     /// soak's gossip quiescence oracles (convergence and causal replay),
@@ -298,6 +309,12 @@ impl MemoryBackend for SharedMemory {
 
     fn label(&self) -> String {
         "shm".to_string()
+    }
+
+    /// Each cell is its own register and the op counters stay outside the
+    /// fingerprint.
+    fn ops_commute_by_key(&self) -> bool {
+        true
     }
 }
 

@@ -22,7 +22,7 @@
 
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use wfa_obs::metrics::{Counter, MetricsHandle};
 use wfa_obs::span::{seq, EventKind, ObsEvent, Op};
@@ -31,17 +31,20 @@ use wfa_obs::local as obs_local;
 use crate::backend::{Degradation, MemoryBackend, Resolution};
 use crate::memory::SharedMemory;
 use crate::process::{DynProcess, Status, StepCtx};
+use crate::trace::OpKind;
 use crate::value::{Pid, Value};
 
 /// One registered process and its run-local bookkeeping.
 ///
-/// The automaton sits behind an [`Arc`] so that cloning an executor (which
+/// The automaton sits behind an [`Rc`] so that cloning an executor (which
 /// the model checker does at every branch point) is a reference-count bump
 /// per process; the automaton state is only deep-copied when a shared slot
-/// actually takes a step (copy-on-write).
+/// actually takes a step (copy-on-write). An executor never crosses threads
+/// (its backend and automata are not `Send`), so the count is a plain
+/// integer, not an atomic.
 #[derive(Clone)]
 struct Slot {
-    proc: Arc<dyn DynProcess>,
+    proc: Rc<dyn DynProcess>,
     status: Status,
     steps: u64,
     /// Lazily cached hash of (slot index, status, automaton state); `None`
@@ -107,13 +110,16 @@ fn slot_fp(index: usize, status: &Status, proc: &dyn DynProcess) -> u64 {
 /// ex.step(p, None);
 /// assert_eq!(ex.status(p).decision(), Some(&Value::Int(5)));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Executor {
     /// The register file every step's operations route through; defaults
     /// to an empty [`SharedMemory`].
     backend: Box<dyn MemoryBackend>,
     slots: Vec<Slot>,
     clock: u64,
+    /// The memory operation of the last effective step (its footprint).
+    /// Excluded from [`Executor::fingerprint`], like the clock.
+    last_op: OpKind,
     /// Structured degradations drained from the backend after each step, in
     /// step order. An observation stream, excluded from
     /// [`Executor::fingerprint`].
@@ -128,6 +134,32 @@ pub struct Executor {
     obs: MetricsHandle,
 }
 
+impl Clone for Executor {
+    fn clone(&self) -> Executor {
+        Executor {
+            backend: self.backend.clone(),
+            slots: self.slots.clone(),
+            clock: self.clock,
+            last_op: self.last_op,
+            degradations: self.degradations.clone(),
+            resolutions: self.resolutions.clone(),
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// Reuses `self`'s slot and observation buffers, so a recycled
+    /// executor becomes a copy of `source` without reallocating them.
+    fn clone_from(&mut self, source: &Executor) {
+        self.backend = source.backend.clone();
+        self.slots.clone_from(&source.slots);
+        self.clock = source.clock;
+        self.last_op = source.last_op;
+        self.degradations.clone_from(&source.degradations);
+        self.resolutions.clone_from(&source.resolutions);
+        self.obs.clone_from(&source.obs);
+    }
+}
+
 impl Executor {
     /// Creates an executor with empty memory and no processes.
     pub fn new() -> Executor {
@@ -138,7 +170,7 @@ impl Executor {
     pub fn add_process(&mut self, proc: Box<dyn DynProcess>) -> Pid {
         let index = self.slots.len();
         self.slots.push(Slot {
-            proc: Arc::from(proc),
+            proc: Rc::from(proc),
             status: Status::Running,
             steps: 0,
             fp: Cell::new(None),
@@ -166,6 +198,12 @@ impl Executor {
     /// unchanged across substrates.
     pub fn memory(&self) -> &SharedMemory {
         self.backend.view()
+    }
+
+    /// `true` iff the register file's operations on distinct keys commute
+    /// (see [`MemoryBackend::ops_commute_by_key`]).
+    pub fn ops_commute_by_key(&self) -> bool {
+        self.backend.ops_commute_by_key()
     }
 
     /// Replaces the register file; all subsequent steps route their memory
@@ -230,12 +268,12 @@ impl Executor {
         let slot = &mut self.slots[pid.0];
         if slot.status.is_running() {
             slot.steps += 1;
-            // Copy-on-write: materialize a private automaton only if the Arc
+            // Copy-on-write: materialize a private automaton only if the Rc
             // is shared with a forked run.
-            if Arc::get_mut(&mut slot.proc).is_none() {
-                slot.proc = slot.proc.clone_arc();
+            if Rc::get_mut(&mut slot.proc).is_none() {
+                slot.proc = slot.proc.clone_rc();
             }
-            let proc = Arc::get_mut(&mut slot.proc).expect("uniquely owned after copy-on-write");
+            let proc = Rc::get_mut(&mut slot.proc).expect("uniquely owned after copy-on-write");
             let mut ctx = StepCtx::new(self.backend.as_mut(), fd, now, pid, 1);
             if obs.is_enabled() {
                 // Install the recording context so automata (which cannot
@@ -266,6 +304,7 @@ impl Executor {
             } else {
                 slot.status = proc.step(&mut ctx);
             }
+            self.last_op = ctx.last_op();
             *slot.fp.get_mut() = None;
             let mut raised = self.backend.drain_degradations();
             if !raised.is_empty() {
@@ -279,6 +318,13 @@ impl Executor {
             obs.bump(Counter::NullSteps);
         }
         &self.slots[pid.0].status
+    }
+
+    /// The memory operation of the last effective step: what it did to
+    /// shared memory, [`OpKind::None`] before the first. A null step leaves
+    /// it unchanged.
+    pub fn last_op(&self) -> OpKind {
+        self.last_op
     }
 
     /// Attaches an observability handle; every subsequent step records

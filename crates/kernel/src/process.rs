@@ -12,7 +12,7 @@
 //! blanket impl, including state fingerprinting for the model checker.
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::backend::MemoryBackend;
 use crate::memory::RegKey;
@@ -212,10 +212,10 @@ pub trait DynProcess {
     fn label(&self) -> String;
     /// Clones the automaton behind the trait object.
     fn clone_box(&self) -> Box<dyn DynProcess>;
-    /// Clones directly into an [`Arc`] (one allocation, unlike
-    /// `Arc::from(clone_box())` which allocates a `Box` and then moves it) —
+    /// Clones directly into an [`Rc`] (one allocation, unlike
+    /// `Rc::from(clone_box())` which allocates a `Box` and then moves it) —
     /// the executor's copy-on-write hot path.
-    fn clone_arc(&self) -> Arc<dyn DynProcess>;
+    fn clone_rc(&self) -> Rc<dyn DynProcess>;
     /// Hashes the automaton state (for run fingerprints).
     fn fingerprint(&self, h: &mut dyn Hasher);
 }
@@ -236,8 +236,8 @@ where
         Box::new(self.clone())
     }
 
-    fn clone_arc(&self) -> Arc<dyn DynProcess> {
-        Arc::new(self.clone())
+    fn clone_rc(&self) -> Rc<dyn DynProcess> {
+        Rc::new(self.clone())
     }
 
     fn fingerprint(&self, mut h: &mut dyn Hasher) {

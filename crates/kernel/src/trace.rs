@@ -1,9 +1,10 @@
 //! Step footprints.
 //!
 //! [`OpKind`] records what one process step did to shared memory. The
-//! executor reads it from `StepCtx::last_op` after every effective step and
-//! hands it to the observability layer, whose event stream renders
-//! space-time diagrams and exports (`wfa_obs::span`).
+//! executor reads it from `StepCtx::last_op` after every effective step,
+//! keeps it as the step's footprint (`Executor::last_op`, which the model
+//! checker's sleep sets read) and hands it to the observability layer, whose
+//! event stream renders space-time diagrams and exports (`wfa_obs::span`).
 
 use std::fmt;
 
@@ -12,9 +13,10 @@ use wfa_obs::span::Op;
 use crate::memory::RegKey;
 
 /// What a step did to shared memory.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum OpKind {
     /// No memory operation this step (local computation / polling state).
+    #[default]
     None,
     /// A single-register read.
     Read(RegKey),

@@ -33,6 +33,18 @@
 //! pumpable. Every cycle of the explored graph contains such a back edge in
 //! any DFS, so none is missed.
 //!
+//! # Sleep sets
+//!
+//! A successor reached by two independent steps in the other order is not
+//! computed again: the earlier sibling sleeps in the later one's subtree.
+//! A sibling may sleep only once its finished subtree is *closed* (nothing
+//! below it is a violation, a caught panic, a depth cut or a back edge, and
+//! every dedupe target in it is closed too), so every skipped successor is
+//! a dedupe hit onto a finished state off the path, and the report is the
+//! one full expansion gives; only the dedupe count falls. The reduction is
+//! off with a schedule filter, on backends whose ops do not commute by key,
+//! and past 64 processes. DESIGN.md §6 gives the argument.
+//!
 //! Fingerprints hash the full run state (memory + automata); collisions are
 //! possible in principle but astronomically unlikely at the explored sizes,
 //! and a collision could only cause *under*-reporting of violations, never a
@@ -42,6 +54,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use wfa_kernel::executor::Executor;
+use wfa_kernel::trace::OpKind;
 use wfa_kernel::value::Pid;
 use wfa_obs::metrics::{Counter, MetricsHandle};
 
@@ -158,8 +171,9 @@ impl<'a> Explorer<'a> {
         Explorer { pids, check, limits, enabled: None, metrics: MetricsHandle::disabled() }
     }
 
-    /// Publishes the states visited and the dedupe hits (successors that
-    /// were already visited) into `metrics`.
+    /// Publishes the states visited and the dedupe hits (computed
+    /// successors that were already visited; successors a sleep set skips
+    /// are not computed) into `metrics`.
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Explorer<'a> {
         self.metrics = metrics;
         self
@@ -181,16 +195,23 @@ impl<'a> Explorer<'a> {
     /// Runs the exploration from `initial` and returns the report.
     pub fn run(self, initial: &Executor) -> ExploreReport {
         let root = initial.fingerprint();
+        // Sleep sets need enabledness to depend on a process alone (no
+        // filter), ops that commute by key, and a pid mask that holds every
+        // process; otherwise every state is expanded fully.
+        let reduce = self.enabled.is_none() && initial.ops_commute_by_key() && initial.n() <= 64;
         let mut dfs = Dfs {
             explorer: &self,
             visited: FpMap::default(),
             frames: Vec::new(),
             todo: Vec::new(),
             schedule: Vec::new(),
+            stride: if reduce { initial.n() } else { 0 },
+            foot: Vec::new(),
+            free: Vec::new(),
             dedupe: 0,
             report: ExploreReport { states: 1, ..ExploreReport::default() },
         };
-        dfs.visit(initial.clone(), root);
+        dfs.visit(initial.clone(), root, 0);
         dfs.search();
         let mut report = dfs.report;
         report.states = report.states.min(self.limits.max_states);
@@ -213,6 +234,18 @@ pub fn explore_all(ex: &Executor, check: &SafetyCheck<'_>, limits: Limits) -> Ex
     Explorer::new(ex.pids().collect(), check, limits).run(ex)
 }
 
+/// Where a visited state stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// On the current DFS path (has a frame on the stack).
+    OnPath,
+    /// Finished, and every state reachable from it was visited and judged
+    /// with nothing cut short (see [`Frame::closed`]).
+    Closed,
+    /// Finished, but not closed.
+    Open,
+}
+
 /// A state on the current DFS path whose children are not all visited yet.
 struct Frame {
     /// The state itself, handed to its last child instead of cloned.
@@ -221,20 +254,39 @@ struct Frame {
     /// How many of its enabled pids, the top entries of [`Dfs::todo`], are
     /// still to be stepped.
     left: usize,
+    /// Pids asleep here (a bit per pid index): stepping one reaches a
+    /// closed state, so they are not stepped.
+    sleep: u64,
+    /// Stepped pids whose successor turned out closed; each falls asleep in
+    /// the later siblings whose step it is independent of.
+    done: u64,
+    /// `true` while nothing found below this state is a violation, a caught
+    /// panic, a depth cut, a back edge or a dedupe hit onto a state that is
+    /// not closed. A frame that pops with it set is [`Mark::Closed`].
+    closed: bool,
 }
 
 /// The state of one depth-first pass.
 struct Dfs<'e, 'a> {
     explorer: &'e Explorer<'a>,
-    /// Every visited fingerprint, mapped to whether it is on the current
-    /// path (has a frame on the stack).
-    visited: FpMap<bool>,
+    visited: FpMap<Mark>,
     frames: Vec<Frame>,
     /// The frames' unstepped pids, each frame's in reverse index order so
     /// that popping yields index order.
     todo: Vec<Pid>,
     /// The pids stepped from the root to the state being visited.
     schedule: Vec<Pid>,
+    /// The process count when sleep sets are on, else 0.
+    stride: usize,
+    /// Step footprints, one row of `stride` per frame: `foot[d * stride +
+    /// q]` is what pid `q` does when stepped from frame `d`'s state, kept
+    /// for the pids in that frame's sleep and done sets. A pid's footprint
+    /// is a function of its own local state, which only its own steps
+    /// change, so a sleeping pid's entry is copied down unchanged.
+    foot: Vec<OpKind>,
+    /// Executors of finished children (dedupe hits, terminal states),
+    /// rebuilt into later siblings by `clone_from`.
+    free: Vec<Executor>,
     /// Successors that were already visited.
     dedupe: u64,
     report: ExploreReport,
@@ -247,17 +299,26 @@ impl Dfs<'_, '_> {
         let limits = self.explorer.limits;
         while let Some(top) = self.frames.last_mut() {
             if top.left == 0 {
-                let fp = top.fp;
-                self.frames.pop();
-                self.visited.insert(fp, false);
-                self.schedule.pop();
+                let Frame { ex, fp, closed, .. } = self.frames.pop().expect("the top frame");
+                self.free.extend(ex);
+                self.finish(fp, closed);
                 continue;
             }
             top.left -= 1;
             let pid = self.todo.pop().expect("every frame's pids are on the todo stack");
             let parent = top.fp;
-            let mut child = if top.left == 0 { top.ex.take() } else { top.ex.clone() }
-                .expect("a frame keeps its state until its last child");
+            let mut child = if top.left == 0 {
+                top.ex.take().expect("a frame keeps its state until its last child")
+            } else {
+                let ex = top.ex.as_ref().expect("a frame keeps its state until its last child");
+                match self.free.pop() {
+                    Some(mut child) => {
+                        child.clone_from(ex);
+                        child
+                    }
+                    None => ex.clone(),
+                }
+            };
             // A panicking automaton step (a torn process, a buggy driver) is
             // attributed to the parent state and only prunes this child.
             let fp = match guarded(|| {
@@ -267,17 +328,33 @@ impl Dfs<'_, '_> {
                 Ok(fp) => fp,
                 Err(payload) => {
                     self.abort(parent, payload);
+                    self.frames.last_mut().expect("the stepping frame").closed = false;
                     continue;
                 }
             };
+            let depth = self.frames.len() - 1;
+            let row = depth * self.stride;
+            let op = child.last_op();
+            if self.stride > 0 {
+                self.foot[row + pid.0] = op;
+            }
             match self.visited.get(&fp) {
-                Some(&on_path) => {
+                Some(&mark) => {
                     self.dedupe += 1;
-                    if on_path && self.report.undecided_cycle.is_none() {
-                        let mut witness = self.schedule.clone();
-                        witness.push(pid);
-                        self.report.undecided_cycle = Some(witness);
+                    let top = self.frames.last_mut().expect("the stepping frame");
+                    match mark {
+                        Mark::Closed => top.done |= bit(pid),
+                        Mark::Open => top.closed = false,
+                        Mark::OnPath => {
+                            top.closed = false;
+                            if self.report.undecided_cycle.is_none() {
+                                let mut witness = self.schedule.clone();
+                                witness.push(pid);
+                                self.report.undecided_cycle = Some(witness);
+                            }
+                        }
                     }
+                    self.free.push(child);
                 }
                 None => {
                     self.report.states += 1;
@@ -285,8 +362,21 @@ impl Dfs<'_, '_> {
                         self.report.truncated = true;
                         return; // counted, but the state cap ends the search
                     }
+                    // Every pid asleep or done here whose step commutes with
+                    // this one sleeps in the child: stepping it there reaches
+                    // the same state as this step taken after it, which is
+                    // closed.
+                    let mut sleep = 0;
+                    if self.stride > 0 {
+                        let top = &self.frames[depth];
+                        for q in pids_of(top.sleep | top.done) {
+                            if independent(self.foot[row + q], op) {
+                                sleep |= 1 << q;
+                            }
+                        }
+                    }
                     self.schedule.push(pid);
-                    self.visit(child, fp);
+                    self.visit(child, fp, sleep);
                 }
             }
         }
@@ -294,10 +384,13 @@ impl Dfs<'_, '_> {
 
     /// Marks a newly reached state visited and judges it. Its schedule is
     /// `self.schedule`: a terminal state is done with (and leaves the
-    /// schedule), any other gets a frame over its enabled pids.
-    fn visit(&mut self, ex: Executor, fp: u64) {
+    /// schedule), any other gets a frame over its enabled pids that are not
+    /// in `sleep`.
+    fn visit(&mut self, ex: Executor, fp: u64, sleep: u64) {
         let explorer = self.explorer;
-        let expanded = match guarded(|| (explorer.check)(&ex)) {
+        // Only a state all of whose processes have stopped is terminal and
+        // still closed: it has no successors to cut short.
+        let closed = match guarded(|| (explorer.check)(&ex)) {
             Err(payload) => {
                 self.abort(fp, payload);
                 false // aborted states are terminal: the search goes around them
@@ -306,7 +399,7 @@ impl Dfs<'_, '_> {
                 self.report.violation.get_or_insert_with(|| (reason, self.schedule.clone()));
                 false
             }
-            Ok(None) if explorer.all_done(&ex) => false,
+            Ok(None) if explorer.all_done(&ex) => true,
             Ok(None) if self.schedule.len() >= explorer.limits.max_depth => {
                 self.report.truncated = true;
                 false
@@ -315,7 +408,12 @@ impl Dfs<'_, '_> {
                 let start = self.todo.len();
                 let todo = &mut self.todo;
                 let listed = guarded(|| {
-                    todo.extend(explorer.pids.iter().filter(|&&p| explorer.enabled(&ex, p)));
+                    todo.extend(
+                        explorer
+                            .pids
+                            .iter()
+                            .filter(|&&p| sleep & bit(p) == 0 && explorer.enabled(&ex, p)),
+                    );
                     todo[start..].reverse();
                 });
                 if let Err(payload) = listed {
@@ -324,14 +422,42 @@ impl Dfs<'_, '_> {
                     false
                 } else {
                     let left = self.todo.len() - start;
-                    self.frames.push(Frame { ex: Some(ex), fp, left });
-                    true
+                    let depth = self.frames.len();
+                    self.frames.push(Frame {
+                        ex: Some(ex),
+                        fp,
+                        left,
+                        sleep,
+                        done: 0,
+                        closed: true,
+                    });
+                    self.visited.insert(fp, Mark::OnPath);
+                    if self.stride > 0 {
+                        let row = depth * self.stride;
+                        self.foot.resize(self.foot.len().max(row + self.stride), OpKind::None);
+                        for q in pids_of(sleep) {
+                            self.foot[row + q] = self.foot[row - self.stride + q];
+                        }
+                    }
+                    return;
                 }
             }
         };
-        self.visited.insert(fp, expanded);
-        if !expanded {
-            self.schedule.pop();
+        self.free.push(ex);
+        self.finish(fp, closed);
+    }
+
+    /// Records a finished state and settles it in its parent frame: a
+    /// closed child becomes a done pid there, any other opens the parent.
+    fn finish(&mut self, fp: u64, closed: bool) {
+        self.visited.insert(fp, if closed { Mark::Closed } else { Mark::Open });
+        if let Some(pid) = self.schedule.pop() {
+            let parent = self.frames.last_mut().expect("a stepped state has a parent frame");
+            if closed {
+                parent.done |= bit(pid);
+            } else {
+                parent.closed = false;
+            }
         }
     }
 
@@ -341,6 +467,36 @@ impl Dfs<'_, '_> {
         if aborted.as_ref().is_none_or(|(afp, ap)| (fp, &payload) < (*afp, ap)) {
             *aborted = Some((fp, payload));
         }
+    }
+}
+
+/// `pid`'s bit in a sleep or done mask; 0 past the mask's 64 pids, where
+/// sleep sets are off.
+fn bit(pid: Pid) -> u64 {
+    1u64.checked_shl(pid.0 as u32).unwrap_or(0)
+}
+
+/// The pid indices whose bits are set in `mask`, in increasing order.
+fn pids_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            q
+        })
+    })
+}
+
+/// `true` iff steps with footprints `a` and `b`, taken by two different
+/// processes from one state, commute on a backend whose ops commute by key:
+/// they touch different keys, or neither writes. A snapshot names no keys,
+/// so it conflicts with every write.
+fn independent(a: OpKind, b: OpKind) -> bool {
+    match (a, b) {
+        (OpKind::Write(x), OpKind::Write(y) | OpKind::Read(y))
+        | (OpKind::Read(x), OpKind::Write(y)) => x != y,
+        (OpKind::Write(_), OpKind::Snapshot(_)) | (OpKind::Snapshot(_), OpKind::Write(_)) => false,
+        _ => true,
     }
 }
 

@@ -1,5 +1,5 @@
-//! The healthy message path allocates nothing, and a Figure-2 run
-//! allocates a pinned amount.
+//! The healthy message path allocates nothing, and a Figure-2 run and two
+//! explorations allocate pinned amounts.
 //!
 //! A healthy ABD read is two quorum phases over the simulated network, and
 //! a quiescent gossip round is one digest exchange per replica pair. Both
@@ -8,8 +8,11 @@
 //! counts heap allocations per thread with a counting global allocator and
 //! pins the steady state at zero. A Theorem-9 run allocates for every value
 //! it proposes, writes and agrees on; its exact count is pinned so that an
-//! allocation added to the Figure-2 step shows. It times nothing, so it
-//! holds on any host.
+//! allocation added to the Figure-2 step shows. The explorer allocates for
+//! every state it keeps and every automaton a step copies; its counts for
+//! two of the benchmark's instances are pinned so that an allocation added
+//! to its per-successor path shows. It times nothing, so it holds on any
+//! host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,10 +26,15 @@ use wfa::fd::pattern::FailurePattern;
 use wfa::gossip::backend::GossipBackend;
 use wfa::gossip::config::GossipConfig;
 use wfa::kernel::backend::MemoryBackend;
+use wfa::kernel::executor::Executor;
 use wfa::kernel::memory::RegKey;
+use wfa::kernel::process::{Process, Status, StepCtx};
 use wfa::kernel::value::{Pid, Value};
+use wfa::modelcheck::explorer::{ExploreReport, Explorer, Limits, SafetyCheck};
 use wfa::net::abd::AbdBackend;
 use wfa::net::config::NetConfig;
+use wfa::objects::adopt_commit::AdoptCommit;
+use wfa::objects::driver::{Driver, Step};
 use wfa::tasks::agreement::SetAgreement;
 
 thread_local! {
@@ -130,4 +138,88 @@ fn theorem9_ksa_run_allocation_count_is_pinned() {
     assert_eq!(slots, Some(2560));
     assert_eq!(run.output_vector(), vec![Value::Int(1); n]);
     assert_eq!(allocs, 7552, "allocations of the run");
+}
+
+/// Explores every interleaving of `ex` under `check` and returns the
+/// report with the allocations the search made.
+fn explore_allocations(ex: &Executor, check: &SafetyCheck<'_>) -> (ExploreReport, u64) {
+    let explorer = Explorer::new(ex.pids().collect(), check, Limits::default());
+    let mut report = None;
+    let allocs = allocations(|| report = Some(explorer.run(ex)));
+    (report.expect("the search ran"), allocs)
+}
+
+/// Increments a shared counter `left` times, then decides its final read.
+#[derive(Clone, Hash)]
+struct RacyCounter {
+    left: u32,
+    val: i64,
+    reading: bool,
+}
+
+impl Process for RacyCounter {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+        let k = RegKey::new(1);
+        if self.reading {
+            self.val = ctx.read(k).as_int().unwrap_or(0);
+            self.reading = false;
+            if self.left == 0 {
+                return Status::Decided(Value::Int(self.val));
+            }
+        } else {
+            ctx.write(k, Value::Int(self.val + 1));
+            self.left -= 1;
+            self.reading = true;
+        }
+        Status::Running
+    }
+}
+
+#[test]
+fn three_racy_counters_exploration_allocation_count_is_pinned() {
+    // The benchmark's seed-1 instance: three increments each, from start
+    // values 1, 0 and 0.
+    let mut ex = Executor::new();
+    for p in 0..3u64 {
+        let val = ((1u64 >> (8 * p)) % 100) as i64;
+        ex.add_process(Box::new(RacyCounter { left: 3, val, reading: true }));
+    }
+    let (report, allocs) = explore_allocations(&ex, &|_| None);
+    assert_eq!(report, ExploreReport { states: 66330, ..ExploreReport::default() });
+    assert_eq!(allocs, 239_502, "allocations of the exploration");
+}
+
+/// Adopt-commit wrapped as a deciding process.
+#[derive(Clone, Hash)]
+struct AcProc(AdoptCommit);
+
+impl Process for AcProc {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+        match self.0.poll(ctx) {
+            Step::Pending => Status::Running,
+            Step::Done(out) => {
+                Status::Decided(Value::tuple([Value::Bool(out.is_commit()), out.value().clone()]))
+            }
+        }
+    }
+}
+
+#[test]
+fn adopt_commit_exploration_allocation_count_is_pinned() {
+    // The benchmark's seed-1 instance: three parties with inputs 3, 4, 5,
+    // checked for adopt-commit safety at every state.
+    let mut ex = Executor::new();
+    for p in 0..3u32 {
+        let ac = AdoptCommit::new(1, 0, 3, p, Value::Int(3 + p as i64));
+        ex.add_process(Box::new(AcProc(ac)));
+    }
+    let check = |ex: &Executor| {
+        let outs: Vec<&Value> = ex.pids().filter_map(|p| ex.status(p).decision()).collect();
+        let committed = outs.iter().find(|o| o.get(0).and_then(Value::as_bool) == Some(true))?;
+        let cv = committed.get(1)?;
+        outs.iter().find(|o| o.get(1) != Some(cv)).map(|o| format!("commit {cv} vs outcome {o}"))
+    };
+    let (report, allocs) = explore_allocations(&ex, &check);
+    assert_eq!(report, ExploreReport { states: 7337, ..ExploreReport::default() });
+    assert_eq!(allocs, 43_030, "allocations of the exploration");
 }

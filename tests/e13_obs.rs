@@ -162,7 +162,9 @@ fn e13_explorer_snapshot_is_exact_and_repeatable() {
     let (a, b) = (snapshot(), snapshot());
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
     assert_eq!(a.counter("explorer_states"), Some(56));
-    assert_eq!(a.counter("explorer_dedupe_hits"), Some(26));
+    // Sleep sets skip 15 successors that full expansion would count as
+    // dedupe hits (26); the states do not move.
+    assert_eq!(a.counter("explorer_dedupe_hits"), Some(11));
 }
 
 #[test]

@@ -4,7 +4,10 @@
 //! state counts; this suite pins the same counts plus the dedupe hits (the
 //! successors the search computed but had already visited), so a change to
 //! the explorer that keeps the state space but alters how it is walked — a
-//! sleep set, a new visit order — shows here first. The inputs are derived
+//! new visit order, a change to the sleep sets — shows here first. Sleep
+//! sets skip successors proved visited without computing them, so the
+//! dedupe hits are those of the reduced search: 30, 1,203 and 61,978, where
+//! full expansion computes 44, 10,961 and 80,944. The inputs are derived
 //! from a seed the way the benchmark derives them from each job's seed; the
 //! counts do not depend on it, and two seeds check that.
 
@@ -75,7 +78,7 @@ fn lemma11_fig4_refutation_is_pinned() {
             ..ExploreReport::default()
         }
     );
-    assert_eq!(dedupe, 44);
+    assert_eq!(dedupe, 30);
 }
 
 /// Adopt-commit wrapped as a deciding process.
@@ -117,7 +120,7 @@ fn three_party_adopt_commit_is_pinned() {
             ExploreReport { states: 7337, ..ExploreReport::default() },
             "seed {seed}"
         );
-        assert_eq!(dedupe, 10961, "seed {seed}");
+        assert_eq!(dedupe, 1203, "seed {seed}");
     }
 }
 
@@ -162,6 +165,6 @@ fn three_racy_counters_are_pinned() {
             ExploreReport { states: 66330, ..ExploreReport::default() },
             "seed {seed}"
         );
-        assert_eq!(dedupe, 80944, "seed {seed}");
+        assert_eq!(dedupe, 61978, "seed {seed}");
     }
 }
