@@ -32,12 +32,12 @@ fn bench_memory(c: &mut Criterion) {
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 1024;
-            black_box(mem.read(RegKey::new(1).at(0, i)));
+            black_box(mem.peek(RegKey::new(1).at(0, i)));
         });
     });
     g.bench_function("read_bottom", |b| {
-        let mut mem = SharedMemory::new();
-        b.iter(|| black_box(mem.read(RegKey::new(2).at(0, 7))));
+        let mem = SharedMemory::new();
+        b.iter(|| black_box(mem.peek(RegKey::new(2).at(0, 7))));
     });
     g.finish();
 }

@@ -65,7 +65,7 @@ use crate::shrink::shrink_plan;
 /// home replica by `RegKey::shard_index`).
 const KEYS: usize = 8;
 
-/// Flight-recorder capacity: checkpoints kept in the copy-on-write ring.
+/// Flight-recorder capacity: checkpoints kept in the ring.
 const RECORDER_SLOTS: usize = 8;
 
 /// Re-soak budget for [`shrink_soak`].

@@ -36,7 +36,7 @@
 //! The [`chaos`] module is the long-horizon complement to the searched
 //! sweeps: deterministic 10k+ tick soaks against any backend under a
 //! seeded stream of composed faults, with online oracles, a flight
-//! recorder of copy-on-write checkpoints backing violation replay, and
+//! recorder of cloned checkpoints backing violation replay, and
 //! per-fault-class MTTR aggregation of the degradation → resolution
 //! lifecycle ([`chaos::soak`]). Soaks build their backend through the
 //! same [`backend::BackendSpec`] and shrink their fault timelines with

@@ -288,7 +288,7 @@ impl Default for Box<dyn MemoryBackend> {
 /// its own linearized view.
 impl MemoryBackend for SharedMemory {
     fn read(&mut self, _me: Pid, _now: u64, key: RegKey) -> Value {
-        SharedMemory::read(self, key)
+        self.peek(key)
     }
 
     fn write(&mut self, _me: Pid, _now: u64, key: RegKey, val: Value) {
@@ -311,8 +311,7 @@ impl MemoryBackend for SharedMemory {
         "shm".to_string()
     }
 
-    /// Each cell is its own register and the op counters stay outside the
-    /// fingerprint.
+    /// Each cell is its own register.
     fn ops_commute_by_key(&self) -> bool {
         true
     }
@@ -474,7 +473,7 @@ mod tests {
                 resolve_tick: now + 5,
                 shard: self.shard,
             });
-            self.mem.read(key)
+            self.mem.peek(key)
         }
 
         fn write(&mut self, me: Pid, now: u64, key: RegKey, val: Value) {

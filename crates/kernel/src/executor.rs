@@ -213,6 +213,13 @@ impl Executor {
         self.backend = backend;
     }
 
+    /// Drops every process but keeps the slot buffer, for an executor
+    /// parked until `clone_from` rebuilds it. Automata it shared with a fork
+    /// are then that fork's alone, so its next step on them copies nothing.
+    pub fn release(&mut self) {
+        self.slots.clear();
+    }
+
     /// Structured degradations the backend raised during this run, in step
     /// order (empty for backends that never degrade, shared memory among
     /// them).

@@ -42,7 +42,6 @@
 pub mod backend;
 pub mod executor;
 pub mod memory;
-pub mod pmap;
 pub mod process;
 pub mod sched;
 pub mod trace;

@@ -9,9 +9,9 @@
 //! register returns `⊥` ([`Value::Unit`]), exactly as an initialized-to-`⊥`
 //! register would.
 
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use crate::pmap::PMap;
 use crate::value::Value;
 
 /// Address of a shared register.
@@ -106,23 +106,18 @@ struct Cell {
 /// interleaving of atomic register operations — the exact object the paper
 /// quantifies over.
 ///
-/// Two properties make it the model checker's workhorse:
-///
-/// * **Copy-on-write forking.** The cells live in a persistent
-///   [`PMap`], so `Clone` is O(1) and a write after a fork copies only the
-///   O(log n) root-to-key spine — forked branches share everything else.
-/// * **Incremental fingerprinting.** The content fingerprint is the XOR of
-///   the per-cell hashes, maintained on every write; hashing the memory into
-///   a run fingerprint is O(1) instead of a full rehash of all cells.
+/// The cells live in a plain ordered map, so an overwrite updates its cell
+/// in place and a fork (`Clone`) copies the map in O(registers). The content
+/// fingerprint is the XOR of the per-cell hashes, maintained on every write;
+/// hashing the memory into a run fingerprint is O(1) instead of a full
+/// rehash of all cells.
 #[derive(Clone, Debug, Default)]
 pub struct SharedMemory {
-    cells: PMap<RegKey, Cell>,
+    cells: BTreeMap<RegKey, Cell>,
     /// XOR of [`cell_hash`] over all non-`⊥` cells. XOR makes the combination
     /// order-independent (content-based) and incrementally updatable: a write
     /// XORs out the old cell hash and XORs in the new one.
     fp: u64,
-    reads: u64,
-    writes: u64,
 }
 
 impl SharedMemory {
@@ -131,27 +126,19 @@ impl SharedMemory {
         SharedMemory::default()
     }
 
+    /// Borrowed lookup: the hot path for verifiers and harnesses. Returns
+    /// `None` for never-written (`⊥`) registers.
+    pub fn get(&self, key: RegKey) -> Option<&Value> {
+        self.cells.get(&key).map(|c| &c.val)
+    }
+
     /// Atomically reads register `key`.
     ///
     /// Never-written registers read as [`Value::Unit`]. The returned value is
     /// cheap: tuples are `Arc`-backed, so this is a reference-count bump, not
     /// a deep copy.
-    pub fn read(&mut self, key: RegKey) -> Value {
-        self.reads += 1;
-        self.cells.get(&key).map(|c| c.val.clone()).unwrap_or(Value::Unit)
-    }
-
-    /// Borrowed lookup without bumping the operation counter: the hot path
-    /// for verifiers and harnesses. Returns `None` for never-written (`⊥`)
-    /// registers.
-    pub fn get(&self, key: RegKey) -> Option<&Value> {
-        self.cells.get(&key).map(|c| &c.val)
-    }
-
-    /// Reads without bumping the operation counter (for verifiers/harnesses,
-    /// not for process steps).
     pub fn peek(&self, key: RegKey) -> Value {
-        self.cells.get(&key).map(|c| c.val.clone()).unwrap_or(Value::Unit)
+        self.get(key).cloned().unwrap_or(Value::Unit)
     }
 
     /// Atomically writes `val` into register `key`.
@@ -159,7 +146,6 @@ impl SharedMemory {
     /// Writing `⊥` restores the register to its initial state (the cell is
     /// dropped, keeping fingerprints canonical).
     pub fn write(&mut self, key: RegKey, val: Value) {
-        self.writes += 1;
         if val.is_unit() {
             if let Some(old) = self.cells.remove(&key) {
                 self.fp ^= old.hash;
@@ -183,22 +169,12 @@ impl SharedMemory {
         self.cells.is_empty()
     }
 
-    /// Total reads performed so far.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
     /// Iterates over the non-`⊥` registers in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&RegKey, &Value)> {
         self.cells.iter().map(|(k, c)| (k, &c.val))
     }
 
-    /// Hashes the memory contents (not the op counters) into `h`.
+    /// Hashes the memory contents into `h`.
     ///
     /// Two memories with the same fingerprint input are observationally
     /// identical to every process. O(1): feeds the incrementally maintained
@@ -227,8 +203,8 @@ mod tests {
 
     #[test]
     fn fresh_register_reads_bottom() {
-        let mut m = SharedMemory::new();
-        assert_eq!(m.read(RegKey::new(1)), Value::Unit);
+        let m = SharedMemory::new();
+        assert_eq!(m.peek(RegKey::new(1)), Value::Unit);
         assert!(m.is_empty());
     }
 
@@ -237,7 +213,7 @@ mod tests {
         let mut m = SharedMemory::new();
         let k = RegKey::idx(2, 1, 0, 0, 0);
         m.write(k, Value::Int(42));
-        assert_eq!(m.read(k), Value::Int(42));
+        assert_eq!(m.peek(k), Value::Int(42));
         assert_eq!(m.len(), 1);
     }
 
@@ -247,9 +223,9 @@ mod tests {
         m.write(RegKey::idx(1, 0, 0, 0, 0), Value::Int(1));
         m.write(RegKey::idx(1, 1, 0, 0, 0), Value::Int(2));
         m.write(RegKey::idx(2, 0, 0, 0, 0), Value::Int(3));
-        assert_eq!(m.read(RegKey::idx(1, 0, 0, 0, 0)), Value::Int(1));
-        assert_eq!(m.read(RegKey::idx(1, 1, 0, 0, 0)), Value::Int(2));
-        assert_eq!(m.read(RegKey::idx(2, 0, 0, 0, 0)), Value::Int(3));
+        assert_eq!(m.peek(RegKey::idx(1, 0, 0, 0, 0)), Value::Int(1));
+        assert_eq!(m.peek(RegKey::idx(1, 1, 0, 0, 0)), Value::Int(2));
+        assert_eq!(m.peek(RegKey::idx(2, 0, 0, 0, 0)), Value::Int(3));
     }
 
     #[test]
@@ -261,19 +237,7 @@ mod tests {
         assert_ne!(fp(&m), empty);
         m.write(k, Value::Unit);
         assert_eq!(fp(&m), empty);
-        assert_eq!(m.read(k), Value::Unit);
-    }
-
-    #[test]
-    fn op_counters() {
-        let mut m = SharedMemory::new();
-        let k = RegKey::new(0);
-        m.write(k, Value::Int(1));
-        m.read(k);
-        m.read(k);
-        m.peek(k);
-        assert_eq!(m.write_count(), 1);
-        assert_eq!(m.read_count(), 2);
+        assert_eq!(m.peek(k), Value::Unit);
     }
 
     #[test]
@@ -284,7 +248,6 @@ mod tests {
         a.write(RegKey::new(2), Value::Int(2));
         b.write(RegKey::new(2), Value::Int(2));
         b.write(RegKey::new(1), Value::Int(1));
-        b.read(RegKey::new(1)); // counters must not affect the fingerprint
         assert_eq!(fp(&a), fp(&b));
     }
 

@@ -285,7 +285,8 @@ struct Dfs<'e, 'a> {
     /// change, so a sleeping pid's entry is copied down unchanged.
     foot: Vec<OpKind>,
     /// Executors of finished children (dedupe hits, terminal states),
-    /// rebuilt into later siblings by `clone_from`.
+    /// released by [`Dfs::park`] and rebuilt into later siblings by
+    /// `clone_from`.
     free: Vec<Executor>,
     /// Successors that were already visited.
     dedupe: u64,
@@ -300,7 +301,9 @@ impl Dfs<'_, '_> {
         while let Some(top) = self.frames.last_mut() {
             if top.left == 0 {
                 let Frame { ex, fp, closed, .. } = self.frames.pop().expect("the top frame");
-                self.free.extend(ex);
+                if let Some(ex) = ex {
+                    self.park(ex);
+                }
                 self.finish(fp, closed);
                 continue;
             }
@@ -354,7 +357,7 @@ impl Dfs<'_, '_> {
                             }
                         }
                     }
-                    self.free.push(child);
+                    self.park(child);
                 }
                 None => {
                     self.report.states += 1;
@@ -443,8 +446,15 @@ impl Dfs<'_, '_> {
                 }
             }
         };
-        self.free.push(ex);
+        self.park(ex);
         self.finish(fp, closed);
+    }
+
+    /// Parks a finished executor on the free list without its automata, so
+    /// that it pins no automaton a live state still steps.
+    fn park(&mut self, mut ex: Executor) {
+        ex.release();
+        self.free.push(ex);
     }
 
     /// Records a finished state and settles it in its parent frame: a

@@ -1,18 +1,20 @@
 //! The healthy message path allocates nothing, and a Figure-2 run and two
 //! explorations allocate pinned amounts.
 //!
-//! A healthy ABD read is two quorum phases over the simulated network, and
-//! a quiescent gossip round is one digest exchange per replica pair. Both
-//! run in every step of the replicated substrates, so both reuse buffers
-//! their owner keeps warm instead of allocating per round. This suite
-//! counts heap allocations per thread with a counting global allocator and
-//! pins the steady state at zero. A Theorem-9 run allocates for every value
-//! it proposes, writes and agrees on; its exact count is pinned so that an
-//! allocation added to the Figure-2 step shows. The explorer allocates for
-//! every state it keeps and every automaton a step copies; its counts for
-//! two of the benchmark's instances are pinned so that an allocation added
-//! to its per-successor path shows. It times nothing, so it holds on any
-//! host.
+//! A healthy ABD read is two quorum phases over the simulated network, a
+//! healthy ABD write overwrites a register every replica already holds,
+//! and a quiescent gossip round is one digest exchange per replica pair.
+//! All three run in every step of the replicated substrates, so all three
+//! reuse buffers and register cells their owner keeps warm instead of
+//! allocating per operation. This suite counts heap allocations per thread
+//! with a counting global allocator and pins the steady state at zero. A
+//! Theorem-9 run allocates for every value it proposes, writes and agrees
+//! on; its exact count is pinned so that an allocation added to the
+//! Figure-2 step shows. The explorer allocates for every state it keeps,
+//! every register file a fork copies and every automaton a step copies;
+//! its counts for two of the benchmark's instances are pinned so that an
+//! allocation added to its per-successor path shows. It times nothing, so
+//! it holds on any host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,6 +105,24 @@ fn healthy_abd_reads_allocate_nothing() {
 }
 
 #[test]
+fn healthy_abd_writes_allocate_nothing() {
+    // The benchmark's cluster size: 8 replicas, 16 messages per phase.
+    let mut abd = AbdBackend::new(NetConfig::new(8, 7));
+    let key = RegKey::new(3).at(0, 1);
+    abd.write(Pid(0), 0, key, Value::Int(0));
+    let sent = abd.runtime().messages_sent();
+    let allocs = allocations(|| {
+        for t in 1..=100 {
+            abd.write(Pid(0), t, key, Value::Int(t as i64));
+        }
+    });
+    // Both phases ran on every write: 2 phases × 8 replicas × 2 legs.
+    assert_eq!(abd.runtime().messages_sent() - sent, 100 * 32);
+    assert_eq!(abd.read(Pid(1), 101, key), Value::Int(100), "the last write wins");
+    assert_eq!(allocs, 0, "100 healthy ABD overwrites allocated");
+}
+
+#[test]
 fn quiescent_gossip_rounds_allocate_nothing() {
     let mut g = GossipBackend::new(GossipConfig::new(4, 7).with_interval(u64::MAX));
     for i in 0..16u32 {
@@ -137,7 +157,7 @@ fn theorem9_ksa_run_allocation_count_is_pinned() {
     let allocs = allocations(|| slots = run.run_until_decided(&mut sched, 10_000_000));
     assert_eq!(slots, Some(2560));
     assert_eq!(run.output_vector(), vec![Value::Int(1); n]);
-    assert_eq!(allocs, 7552, "allocations of the run");
+    assert_eq!(allocs, 5513, "allocations of the run");
 }
 
 /// Explores every interleaving of `ex` under `check` and returns the
@@ -186,7 +206,7 @@ fn three_racy_counters_exploration_allocation_count_is_pinned() {
     }
     let (report, allocs) = explore_allocations(&ex, &|_| None);
     assert_eq!(report, ExploreReport { states: 66330, ..ExploreReport::default() });
-    assert_eq!(allocs, 239_502, "allocations of the exploration");
+    assert_eq!(allocs, 236_248, "allocations of the exploration");
 }
 
 /// Adopt-commit wrapped as a deciding process.
@@ -221,5 +241,5 @@ fn adopt_commit_exploration_allocation_count_is_pinned() {
     };
     let (report, allocs) = explore_allocations(&ex, &check);
     assert_eq!(report, ExploreReport { states: 7337, ..ExploreReport::default() });
-    assert_eq!(allocs, 43_030, "allocations of the exploration");
+    assert_eq!(allocs, 40_093, "allocations of the exploration");
 }

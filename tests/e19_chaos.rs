@@ -3,7 +3,7 @@
 //! The soak engine (`wfa-faults::chaos`) drives long-horizon op streams
 //! against all three memory backends under a seeded stream of composed
 //! faults, with online oracles checking invariants continuously and a
-//! flight recorder of copy-on-write checkpoints backing violation replay.
+//! flight recorder of cloned checkpoints backing violation replay.
 //! This suite pins the contract:
 //!
 //! 1. **Clean soaks** — 10k-tick fixed-seed soaks over shm, net and gossip

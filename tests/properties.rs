@@ -149,7 +149,8 @@ proptest! {
         }
     }
 
-    /// Last write wins; reads never mutate.
+    /// Last write wins, iteration is the non-`⊥` cells in key order, and a
+    /// clone taken halfway through is unchanged by the later writes.
     #[test]
     fn memory_last_write_wins(
         writes in prop::collection::vec((regkey_strategy(), value_strategy()), 1..20),
@@ -157,7 +158,11 @@ proptest! {
     ) {
         let mut mem = SharedMemory::new();
         let mut model = std::collections::BTreeMap::new();
-        for (k, v) in &writes {
+        let mut fork = None;
+        for (i, (k, v)) in writes.iter().enumerate() {
+            if i == writes.len() / 2 {
+                fork = Some((mem.clone(), model.clone()));
+            }
             mem.write(*k, v.clone());
             if v.is_unit() {
                 model.remove(k);
@@ -166,7 +171,12 @@ proptest! {
             }
         }
         let expect = model.get(&probe).cloned().unwrap_or(Value::Unit);
-        prop_assert_eq!(mem.read(probe), expect);
+        prop_assert_eq!(mem.peek(probe), expect);
+        let (fork, fork_model) = fork.expect("a write list is never empty");
+        for (m, model) in [(&mem, &model), (&fork, &fork_model)] {
+            prop_assert_eq!(m.len(), model.len());
+            prop_assert!(m.iter().eq(model.iter()), "{:?} vs {:?}", m, model);
+        }
     }
 
     /// Memory fingerprints are write-order-insensitive for disjoint keys.
