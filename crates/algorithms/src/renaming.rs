@@ -24,9 +24,11 @@
 //! algorithm. The paper uses it inside the Theorem-12 impossibility proof;
 //! here it runs for real, wrapped around Figure 4.
 
+use wfa_kernel::executor::Executor;
 use wfa_kernel::memory::RegKey;
 use wfa_kernel::process::{Process, Status, StepCtx};
-use wfa_kernel::value::Value;
+use wfa_kernel::sched::{run_schedule, KConcurrent, NullEnv};
+use wfa_kernel::value::{Pid, Value};
 use crate::boards::ns;
 
 fn suggest_key(l: usize) -> RegKey {
@@ -228,12 +230,22 @@ impl<A: Process> Process for RenamingFig3<A> {
     }
 }
 
+/// The `wfa-cli rename` run: adds Figure-4 participants `0..j` over a board
+/// of `m` names to `ex` (whose backend and metrics the caller has set) and
+/// runs them under the seeded `k`-concurrent scheduler for at most
+/// 5,000,000 slots. Returns the participants' pids.
+pub fn rename_run(ex: &mut Executor, j: usize, m: usize, k: usize, seed: u64) -> Vec<Pid> {
+    let pids: Vec<Pid> =
+        (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
+    let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
+    run_schedule(ex, &mut sched, &mut NullEnv, 5_000_000);
+    pids
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfa_kernel::executor::Executor;
-    use wfa_kernel::sched::{run_schedule, KConcurrent, NullEnv, RandomSched, Starve};
-    use wfa_kernel::value::Pid;
+    use wfa_kernel::sched::{RandomSched, Starve};
     use wfa_tasks::renaming::Renaming;
     use wfa_tasks::task::Task;
 

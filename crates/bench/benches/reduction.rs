@@ -14,20 +14,8 @@ use wfa::core::reduction::{emulated_key, AsimBuilders, ReductionS};
 use wfa::fd::detectors::FdGen;
 use wfa::fd::pattern::FailurePattern;
 use wfa::kernel::executor::Executor;
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::sched::{RandomSched, Scheduler};
 use wfa::kernel::value::Value;
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-
-fn builders() -> AsimBuilders {
-    fn c_part(i: usize, input: &Value) -> Box<dyn DynProcess> {
-        Box::new(SetAgreementC::new(i, 1, input.clone()))
-    }
-    fn s_part(q: usize) -> Box<dyn DynProcess> {
-        Box::new(SetAgreementS::new(q as u32, 3, 3, 1))
-    }
-    AsimBuilders { c_part, s_part }
-}
 
 /// Runs the extraction until every live process's emulated output has been
 /// stable for `window` slots; returns the slot count at stabilization.
@@ -39,7 +27,8 @@ fn extraction_latency(stab: u64, seed: u64) -> u64 {
     let mut fd = FdGen::vector_omega_k(pattern, 1, stab, seed);
     let mut ex = Executor::new();
     for q in 0..n {
-        ex.add_process(Box::new(ReductionS::new(q, n, 1, builders(), inputs.clone())));
+        let s = ReductionS::new(q, n, 1, AsimBuilders::CONSENSUS3, inputs.clone());
+        ex.add_process(Box::new(s));
     }
     let mut sched = RandomSched::over_all(&ex, seed ^ 0xe4);
     let mut last_vals: Vec<Value> = vec![Value::Unit; n];

@@ -12,20 +12,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use wfa::kernel::executor::Executor;
-use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv};
+use wfa::kernel::sched::{run_schedule, NullEnv};
 use wfa::kernel::value::{Pid, Value};
 use wfa::algorithms::moir_anderson::MoirAnderson;
-use wfa::algorithms::renaming::{RenamingFig3, RenamingFig4};
+use wfa::algorithms::renaming::{rename_run, RenamingFig3, RenamingFig4};
 
 /// Runs `j` Figure-4 participants (of `m`) at concurrency `k`; returns
 /// (schedule slots, max name).
 fn run_fig4(m: usize, j: usize, k: usize, seed: u64) -> (u64, i64) {
     let mut ex = Executor::new();
-    let pids: Vec<Pid> =
-        (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-    let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-    run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
-    let max_name = pids
+    let max_name = rename_run(&mut ex, j, m, k, seed)
         .iter()
         .map(|p| ex.status(*p).decision().and_then(Value::as_int).expect("decided"))
         .max()

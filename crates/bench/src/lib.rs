@@ -12,13 +12,12 @@
 //! the same code paths.
 
 use wfa::core::harness::EfdRun;
+use wfa::core::solver::ksa_system;
 use wfa::fd::detectors::FdGen;
 use wfa::fd::pattern::FailurePattern;
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::value::Value;
 use wfa::faults::backend::BackendSpec;
 use wfa::obs::metrics::MetricsHandle;
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 
 pub use wfa;
 
@@ -29,26 +28,15 @@ pub use wfa;
 ///
 /// Panics if some C-process fails to decide within the budget.
 pub fn run_ksa(n: usize, k: usize, stab: u64, seed: u64) -> u64 {
-    run_ksa_observed(n, k, stab, seed, &MetricsHandle::disabled())
+    run_ksa_backend(n, k, stab, seed, &MetricsHandle::disabled(), 0)
 }
 
-/// [`run_ksa`] with metrics flowing into `obs` — the same driver the
-/// observability determinism suite pins exact counter values against, and
-/// the baseline for measuring the enabled-registry overhead.
-///
-/// # Panics
-///
-/// Panics if some C-process fails to decide within the budget.
-pub fn run_ksa_observed(n: usize, k: usize, stab: u64, seed: u64, obs: &MetricsHandle) -> u64 {
-    run_ksa_backend(n, k, stab, seed, obs, 0)
-}
-
-/// [`run_ksa_observed`] over the ABD quorum-replicated register backend
-/// with `nodes` replicas (`0`: plain shared memory) — the driver behind the
-/// `net/*` bench family and the shm-vs-net overhead numbers in
-/// `BENCH_net.json`. Builds through [`BackendSpec`] like the CLI's
-/// `--backend net`, so fixed-seed runs decide identically on both
-/// substrates.
+/// [`run_ksa`] with metrics flowing into `obs`, over the ABD
+/// quorum-replicated register backend with `nodes` replicas (`0`: plain
+/// shared memory) — the driver behind the `net/*` bench family and the
+/// shm-vs-net overhead numbers in `BENCH_net.json`. Builds through
+/// [`BackendSpec`] like the CLI's `--backend net`, so fixed-seed runs
+/// decide identically on both substrates.
 ///
 /// # Panics
 ///
@@ -62,14 +50,7 @@ pub fn run_ksa_backend(
     nodes: usize,
 ) -> u64 {
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k as u32, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32)) as Box<dyn DynProcess>)
-        .collect();
+    let (c, s) = ksa_system(n, k, &inputs);
     let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, stab, seed);
     let spec = if nodes > 0 { BackendSpec::net(nodes) } else { BackendSpec::Shm };
     let mut run =

@@ -22,20 +22,20 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use wfa::algorithms::one_concurrent::OneConcurrentSolver;
-use wfa::algorithms::renaming::RenamingFig4;
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
+use wfa::algorithms::renaming::{rename_run, RenamingFig4};
 use wfa::core::classify::{concurrency_profile, ProbeOutcome};
 use wfa::core::harness::{EfdRun, RunReport};
 use wfa::core::reduction::{emulated_key, AsimBuilders, ReductionS};
+use wfa::core::solver::ksa_run;
 use wfa::fd::detectors::{FdGen, HistoryEntry};
 use wfa::fd::pattern::FailurePattern;
 use wfa::fd::spec::check_anti_omega_k;
 use wfa::kernel::executor::Executor;
 use wfa::kernel::process::DynProcess;
-use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv, RandomSched, Replay, Scheduler};
+use wfa::kernel::sched::{run_schedule, NullEnv, RandomSched, Replay, Scheduler};
 use wfa::kernel::value::{Pid, Value};
 use wfa::modelcheck::explorer::Limits;
-use wfa::modelcheck::lemma11::{refute_strong_2_renaming, BoxedAuto, ConsensusViaRenaming};
+use wfa::modelcheck::lemma11::{lemma11, refute_strong_2_renaming};
 use wfa::obs::json::Json;
 use wfa::obs::metrics::{MetricsHandle, Snapshot};
 use wfa::obs::span::timeline;
@@ -164,30 +164,14 @@ fn cmd_ksa(args: &Args) -> Result<(), String> {
     if k == 0 || k > n {
         return Err("need 1 ≤ k ≤ n".into());
     }
-    let pattern = wfa::fd::environment::Environment::up_to(n, crashes.min(n - 1))
-        .sample(seed, stab.max(1));
+    let (run, mut sched) = ksa_run(n, k, stab, crashes, seed);
     if !as_json {
-        outln!("pattern  : {pattern}");
-    }
-    let fd = FdGen::vector_omega_k(pattern, k, stab, seed);
-    if !as_json {
-        outln!("detector : {} (stab {stab})", fd.name());
+        outln!("pattern  : {}", run.fd.pattern());
+        outln!("detector : {} (stab {stab})", run.fd.name());
     }
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k as u32, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| {
-            Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32)) as Box<dyn DynProcess>
-        })
-        .collect();
     let obs = MetricsHandle::counters();
-    let mut run =
-        EfdRun::new(c, s, fd).with_metrics(obs.clone()).with_backend(spec.build(seed, &[]));
-    let mut sched = run.fair_sched(seed ^ 0xc11);
+    let mut run = run.with_metrics(obs.clone()).with_backend(spec.build(seed, &[]));
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let task = SetAgreement::new(n, k);
     let report = RunReport::evaluate(
@@ -273,11 +257,7 @@ fn cmd_rename(args: &Args) -> Result<(), String> {
             let mut ex = Executor::new();
             ex.set_metrics(obs.clone());
             ex.set_backend(spec.build(seed, &[]));
-            let pids: Vec<Pid> =
-                (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-            let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-            run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
-            for p in &pids {
+            for p in &rename_run(&mut ex, j, m, k, seed) {
                 max_name =
                     max_name.max(ex.status(*p).decision().and_then(Value::as_int).unwrap_or(0));
             }
@@ -364,22 +344,9 @@ fn cmd_refute(args: &Args) -> Result<(), String> {
             outln!("counterexample      : {reason} (schedule length {})", sched.len());
             // Replay the violating schedule under the observability layer
             // and render it as a space-time timeline.
-            let (a, b) = r.colliding;
             let obs = MetricsHandle::with_events(4096);
-            let mut ex = Executor::new();
+            let mut ex = lemma11(&cand, r.colliding);
             ex.set_metrics(obs.clone());
-            ex.add_process(Box::new(ConsensusViaRenaming::new(
-                a,
-                b,
-                Value::Int(0),
-                BoxedAuto(cand(a)),
-            )));
-            ex.add_process(Box::new(ConsensusViaRenaming::new(
-                b,
-                a,
-                Value::Int(1),
-                BoxedAuto(cand(b)),
-            )));
             let mut replay = Replay::new(sched.clone());
             run_schedule(&mut ex, &mut replay, &mut NullEnv, 10_000);
             outln!("\nviolating schedule (r = read, w = write, s = snapshot, D = decide):");
@@ -399,19 +366,13 @@ fn cmd_extract(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     args.reject_unread()?;
     let n = 3;
-    fn c_part(i: usize, input: &Value) -> Box<dyn DynProcess> {
-        Box::new(SetAgreementC::new(i, 1, input.clone()))
-    }
-    fn s_part(q: usize) -> Box<dyn DynProcess> {
-        Box::new(SetAgreementS::new(q as u32, 3, 3, 1))
-    }
-    let builders = AsimBuilders { c_part, s_part };
     let inputs: Vec<Vec<Value>> = vec![(0..n as i64).map(Value::Int).collect()];
     let pattern = FailurePattern::failure_free(n);
     let mut fd = FdGen::vector_omega_k(pattern.clone(), 1, stab, seed);
     let mut ex = Executor::new();
     for q in 0..n {
-        ex.add_process(Box::new(ReductionS::new(q, n, 1, builders, inputs.clone())));
+        let s = ReductionS::new(q, n, 1, AsimBuilders::CONSENSUS3, inputs.clone());
+        ex.add_process(Box::new(s));
     }
     let mut sched = RandomSched::over_all(&ex, seed ^ 0xe4);
     let mut history: Vec<HistoryEntry> = Vec::new();
@@ -565,6 +526,12 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
             let (shrink, as_json, out) =
                 (args.get("shrink", false)?, args.get("json", false)?, args.value("out"));
             args.reject_unread()?;
+            if backend != SoakBackend::Shm && cfg.nodes < 3 {
+                return Err(format!(
+                    "a {backend_name} soak needs --nodes 3 or more, got {}",
+                    cfg.nodes
+                ));
+            }
             let mut report = chaos::soak(&cfg);
             if shrink && report.violation.is_some() {
                 let (shrunk, replays) = chaos::shrink_soak(&report);
@@ -666,7 +633,6 @@ fn cmd_faults(argv: &[String]) -> Result<(), String> {
 /// canonical snapshot plus the recorded event stream (empty for sources
 /// that only count).
 fn obs_source(name: &str, seed: u64) -> Result<(Snapshot, Vec<wfa::obs::span::ObsEvent>), String> {
-    use wfa::core::harness::Inert;
     use wfa::core::sim::{KcsSimC, KcsSimS};
     use wfa::core::solver::RenamingBuilder;
     use wfa::modelcheck::explorer::Explorer;
@@ -689,7 +655,6 @@ fn obs_source(name: &str, seed: u64) -> Result<(Snapshot, Vec<wfa::obs::span::Ob
             let s: Vec<Box<dyn DynProcess>> = (0..n)
                 .map(|q| Box::new(KcsSimS::new(q, n, n, k, k, builder)) as Box<dyn DynProcess>)
                 .collect();
-            let _ = Inert; // non-participant automaton, unused at ℓ = n
             let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, 150, seed);
             let obs = MetricsHandle::with_events(4096);
             let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
@@ -724,29 +689,10 @@ fn obs_source(name: &str, seed: u64) -> Result<(Snapshot, Vec<wfa::obs::span::Ob
         // single deterministic schedule (the CI determinism jobs diff two
         // exports).
         "net" | "gossip" => {
-            let (n, k, stab) = (4usize, 2usize, 200u64);
-            let spec = if name == "net" { BackendSpec::net(n) } else { BackendSpec::gossip(n) };
-            let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-            let fd = FdGen::vector_omega_k(pattern, k, stab, seed);
-            let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-            let c: Vec<Box<dyn DynProcess>> = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    Box::new(SetAgreementC::new(i, k as u32, v.clone())) as Box<dyn DynProcess>
-                })
-                .collect();
-            let s: Vec<Box<dyn DynProcess>> = (0..n)
-                .map(|q| {
-                    Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32))
-                        as Box<dyn DynProcess>
-                })
-                .collect();
+            let spec = if name == "net" { BackendSpec::net(4) } else { BackendSpec::gossip(4) };
+            let (run, mut sched) = ksa_run(4, 2, 200, 1, seed);
             let obs = MetricsHandle::with_events(4096);
-            let mut run = EfdRun::new(c, s, fd)
-                .with_metrics(obs.clone())
-                .with_backend(spec.build(seed, &[]));
-            let mut sched = run.fair_sched(seed ^ 0xc11);
+            let mut run = run.with_metrics(obs.clone()).with_backend(spec.build(seed, &[]));
             run.run_until_decided(&mut sched, 5_000_000);
             Ok((obs.snapshot().expect("metrics enabled"), obs.events()))
         }

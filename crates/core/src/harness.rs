@@ -507,28 +507,12 @@ pub fn wait_freedom_ensemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfa_algorithms::set_agreement::{SetAgreementC, SetAgreementS};
+    use crate::solver::ksa_system;
     use wfa_fd::pattern::FailurePattern;
     use wfa_tasks::agreement::SetAgreement;
 
-    fn ksa_factory(
-        n: usize,
-        k: u32,
-    ) -> impl Fn(&[Value], FdGen) -> CsProcs {
-        move |input: &[Value], _fd: FdGen| {
-            let c: Vec<Box<dyn DynProcess>> = input
-                .iter()
-                .enumerate()
-                .map(|(i, v)| match v {
-                    Value::Unit => Box::new(Inert) as Box<dyn DynProcess>,
-                    v => Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>,
-                })
-                .collect();
-            let s: Vec<Box<dyn DynProcess>> = (0..n)
-                .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-                .collect();
-            (c, s)
-        }
+    fn ksa_factory(n: usize, k: u32) -> impl Fn(&[Value], FdGen) -> CsProcs {
+        move |input: &[Value], _fd: FdGen| ksa_system(n, k as usize, input)
     }
 
     #[test]

@@ -21,7 +21,9 @@ pub mod prelude {
     pub use crate::lift::{theorem7_system, LiftS};
     pub use crate::reduction::{emulated_key, AsimBuilders, ReductionS};
     pub use crate::sim::{KcsSimC, KcsSimS};
-    pub use crate::solver::{theorem9_system, AdoptingTaskBuilder, RenamingBuilder};
+    pub use crate::solver::{
+        ksa_run, ksa_system, theorem9_system, AdoptingTaskBuilder, RenamingBuilder,
+    };
     pub use crate::verify::{run_measured, ConcurrencyMeter, WaitFreedomMeter};
     pub use crate::harness::{
         wait_freedom_ensemble, EfdRun, EnsembleConfig, EnsembleReport, EnsembleViolation, Inert,

@@ -42,6 +42,7 @@
 
 use std::hash::{Hash, Hasher};
 
+use wfa_algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 use wfa_kernel::memory::{RegKey, SharedMemory};
 use wfa_kernel::process::{DynProcess, Process, Status, StepCtx};
 use wfa_kernel::value::{Pid, Value};
@@ -71,6 +72,15 @@ pub struct AsimBuilders {
     pub c_part: fn(usize, &Value) -> Box<dyn DynProcess>,
     /// Builds `A`'s S-part automaton for S-process `q`.
     pub s_part: fn(usize) -> Box<dyn DynProcess>,
+}
+
+impl AsimBuilders {
+    /// `A` of the Figure-1 experiments: the §4.2 algorithm as consensus
+    /// (`k = 1`) among 3 C-processes, served by 3 S-processes.
+    pub const CONSENSUS3: Self = Self {
+        c_part: |i, input| Box::new(SetAgreementC::new(i, 1, input.clone())),
+        s_part: |q| Box::new(SetAgreementS::new(q as u32, 3, 3, 1)),
+    };
 }
 
 /// One locally simulated (k+1)-concurrent run of `Asim`.
@@ -467,23 +477,11 @@ impl Process for ReductionS {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfa_algorithms::set_agreement::{SetAgreementC, SetAgreementS};
     use wfa_fd::detectors::{FdGen, HistoryEntry};
     use wfa_fd::pattern::FailurePattern;
     use wfa_fd::spec::check_anti_omega_k;
     use wfa_kernel::executor::Executor;
     use wfa_kernel::sched::{RandomSched, Scheduler};
-
-    fn consensus_builders() -> AsimBuilders {
-        fn c_part(i: usize, input: &Value) -> Box<dyn DynProcess> {
-            Box::new(SetAgreementC::new(i, 1, input.clone()))
-        }
-        fn s_part(q: usize) -> Box<dyn DynProcess> {
-            // A's S-part: serves 3 C-processes with k = 1 over 3 S-processes.
-            Box::new(SetAgreementS::new(q as u32, 3, 3, 1))
-        }
-        AsimBuilders { c_part, s_part }
-    }
 
     /// Drives n ReductionS processes under a →Ω1 detector, collecting each
     /// process's emitted ¬Ω1 history, and checks the ¬Ω1 specification.
@@ -504,7 +502,7 @@ mod tests {
                     q,
                     n,
                     k,
-                    consensus_builders(),
+                    AsimBuilders::CONSENSUS3,
                     inputs.clone(),
                 )))
             })
@@ -551,7 +549,8 @@ mod tests {
         let mut fd = FdGen::vector_omega_k(pattern.clone(), k, 300, 42);
         let mut ex = Executor::new();
         for q in 0..n {
-            ex.add_process(Box::new(ReductionS::new(q, n, k, consensus_builders(), inputs.clone())));
+            let s = ReductionS::new(q, n, k, AsimBuilders::CONSENSUS3, inputs.clone());
+            ex.add_process(Box::new(s));
         }
         let mut sched = RandomSched::over_all(&ex, 7);
         for step in 0..600_000u64 {
@@ -587,7 +586,7 @@ mod tests {
                     q,
                     n,
                     k,
-                    consensus_builders(),
+                    AsimBuilders::CONSENSUS3,
                     inputs.clone(),
                 )));
             }
@@ -619,7 +618,7 @@ mod tests {
     fn branch_enumeration_makes_progress() {
         let n = 3;
         let inputs = vec![vec![Value::Int(0), Value::Int(1), Value::Int(2)]];
-        let mut r = ReductionS::new(0, n, 1, consensus_builders(), inputs);
+        let mut r = ReductionS::new(0, n, 1, AsimBuilders::CONSENSUS3, inputs);
         // With no samples at all, exploration parks immediately (blockers
         // cannot even claim) and cycles through degenerate branches without
         // panicking or diverging.
@@ -643,7 +642,7 @@ mod tests {
     #[test]
     fn latest_output_is_recency_based() {
         let inputs = vec![vec![Value::Int(0); 3]];
-        let mut r = ReductionS::new(0, 3, 1, consensus_builders(), inputs);
+        let mut r = ReductionS::new(0, 3, 1, AsimBuilders::CONSENSUS3, inputs);
         r.start_branch();
         let run = r.run.as_mut().unwrap();
         run.last_turn = vec![Some(4), Some(5), Some(3)]; // q2 stale
@@ -656,7 +655,7 @@ mod tests {
     #[test]
     fn emulated_value_shape() {
         let inputs = vec![vec![Value::Int(0); 4]];
-        let r = ReductionS::new(1, 4, 2, consensus_builders(), inputs);
+        let r = ReductionS::new(1, 4, 2, AsimBuilders::CONSENSUS3, inputs);
         let v = r.emulated_value();
         assert_eq!(v.as_tuple().unwrap().len(), 2); // n−k = 2
     }

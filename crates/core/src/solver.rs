@@ -24,18 +24,26 @@
 //!   atomic step that decides, so at most `k` "blind" deciders introduce
 //!   values ⇒ at most `k` distinct outputs. With `k = 1` it solves *every*
 //!   task (Proposition 1 + Theorem 10's class-1).
+//!
+//! [`ksa_system`] assembles the other reference system, the §4.2 k-set
+//! agreement algorithm itself, and [`ksa_run`] is the fixed-seed run of it
+//! that `wfa-cli ksa` executes and the E13–E18 pins measure.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use wfa_algorithms::one_concurrent::OneConcurrentSolver;
 use wfa_algorithms::renaming::RenamingFig4;
+use wfa_algorithms::set_agreement::{SetAgreementC, SetAgreementS};
+use wfa_fd::detectors::FdGen;
+use wfa_fd::environment::Environment;
 use wfa_kernel::process::DynProcess;
+use wfa_kernel::sched::RandomSched;
 use wfa_kernel::value::Value;
 use wfa_tasks::task::Task;
 
 use crate::code::{CodeBuilder, RegisterSimCode};
-use crate::harness::{CsProcs, Inert};
+use crate::harness::{CsProcs, EfdRun, Inert};
 use crate::sim::{KcsSimC, KcsSimS};
 
 /// Builder for Figure-4 renaming codes (`A` of Theorem 16).
@@ -124,6 +132,51 @@ where
         .map(|q| Box::new(KcsSimS::new(q, n, n, n, k, builder.clone())) as Box<dyn DynProcess>)
         .collect();
     (c, s)
+}
+
+/// Assembles the §4.2 k-set agreement system: C-process `i` runs
+/// [`SetAgreementC`] on `inputs[i]` (a `⊥` slot gets [`Inert`]) and each of
+/// the `n` S-processes runs the [`SetAgreementS`] advice automaton serving
+/// `n` C-processes at agreement level `k`.
+///
+/// Run it under the harness with a `→Ωk` detector.
+pub fn ksa_system(n: usize, k: usize, inputs: &[Value]) -> CsProcs {
+    let c: Vec<Box<dyn DynProcess>> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            if v.is_unit() {
+                Box::new(Inert) as Box<dyn DynProcess>
+            } else {
+                Box::new(SetAgreementC::new(i, k as u32, v.clone())) as Box<dyn DynProcess>
+            }
+        })
+        .collect();
+    let s: Vec<Box<dyn DynProcess>> = (0..n)
+        .map(|q| {
+            Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32)) as Box<dyn DynProcess>
+        })
+        .collect();
+    (c, s)
+}
+
+/// The `wfa-cli ksa` run: [`ksa_system`] over inputs `0..n`, a failure
+/// pattern of at most `crashes` S-crashes (capped at `n − 1`) sampled from
+/// `seed` before `stab`, a `→Ωk` detector stabilising at `stab`, and the
+/// fair schedule seeded `seed ^ 0xc11`. Callers attach metrics and a
+/// backend, then run until decided.
+///
+/// # Panics
+///
+/// Panics unless `1 ≤ k ≤ n`.
+pub fn ksa_run(n: usize, k: usize, stab: u64, crashes: usize, seed: u64) -> (EfdRun, RandomSched) {
+    let pattern = Environment::up_to(n, crashes.min(n - 1)).sample(seed, stab.max(1));
+    let fd = FdGen::vector_omega_k(pattern, k, stab, seed);
+    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+    let (c, s) = ksa_system(n, k, &inputs);
+    let run = EfdRun::new(c, s, fd);
+    let sched = run.fair_sched(seed ^ 0xc11);
+    (run, sched)
 }
 
 #[cfg(test)]

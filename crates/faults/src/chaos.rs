@@ -184,7 +184,9 @@ pub struct SoakConfig {
     /// Ops between flight-recorder checkpoints (`0` disables the recorder
     /// — violations then offer no resume point).
     pub checkpoint_every: u64,
-    /// Replica count for net/gossip (ignored by shm).
+    /// Replica count for net/gossip (ignored by shm). At least 3: the fault
+    /// menus assume a window on one replica leaves a live majority, which
+    /// fewer replicas do not have (the CLI refuses `--nodes` below 3).
     pub nodes: usize,
     /// Append one deterministic *bug* to the timeline: an unhealed
     /// majority partition at 85% of the horizon (net/gossip), or a model

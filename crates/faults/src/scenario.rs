@@ -42,8 +42,8 @@
 use std::sync::Arc;
 
 use wfa_algorithms::renaming::RenamingFig4;
-use wfa_algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 use wfa_core::harness::{CsProcs, Inert};
+use wfa_core::solver::ksa_system;
 use wfa_fd::detectors::FdGen;
 use wfa_fd::pattern::FailurePattern;
 use wfa_kernel::memory::RegKey;
@@ -197,32 +197,16 @@ impl Scenario {
     /// k-set agreement from →Ωk advice (§4.2), the advice-sensitive scenario.
     pub fn ksa() -> Scenario {
         let n = 3;
-        let k = 2u32;
+        let k = 2;
         Scenario {
             name: "ksa".into(),
             n,
             budget: 300_000,
             stab: 100,
             backend: BackendSpec::Shm,
-            task: Arc::new(SetAgreement::new(n, k as usize)),
-            mk_fd: Arc::new(move |p, stab, seed| FdGen::vector_omega_k(p, k as usize, stab, seed)),
-            factory: Arc::new(move |input: &[Value], _fd: FdGen| {
-                let c: Vec<Box<dyn DynProcess>> = input
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Value::Unit => Box::new(Inert) as Box<dyn DynProcess>,
-                        v => Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>,
-                    })
-                    .collect();
-                let s: Vec<Box<dyn DynProcess>> = (0..n)
-                    .map(|q| {
-                        Box::new(SetAgreementS::new(q as u32, n as u32, n, k))
-                            as Box<dyn DynProcess>
-                    })
-                    .collect();
-                (c, s)
-            }),
+            task: Arc::new(SetAgreement::new(n, k)),
+            mk_fd: Arc::new(move |p, stab, seed| FdGen::vector_omega_k(p, k, stab, seed)),
+            factory: Arc::new(move |input: &[Value], _fd: FdGen| ksa_system(n, k, input)),
         }
     }
 

@@ -251,9 +251,10 @@ pub trait MemoryBackend {
     /// Concrete-type escape hatch for backends that expose run oracles
     /// beyond the register interface. Its remaining callers are the chaos
     /// soak's gossip quiescence oracles (convergence and causal replay),
-    /// a gossip unit test, and the benchmark's timing decorator, which reads
-    /// gossip rounds through it. `None` — the default — means the backend
-    /// has no such surface; harnesses must treat it as opaque.
+    /// a gossip unit test, the E18 convergence tests, and the benchmark's
+    /// timing decorator, which reads gossip rounds through it. `None` — the
+    /// default — means the backend has no such surface; harnesses must
+    /// treat it as opaque.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

@@ -5,10 +5,10 @@
 //!
 //! 1. **Pigeonhole** ([`solo_collision`]): with `n ≥ 3` processes and names
 //!    `{1, 2}`, two processes decide the *same* name in their solo runs.
-//! 2. **Reduction** ([`ConsensusViaRenaming`]): those two processes would
-//!    solve wait-free 2-process consensus — publish the input, run the
-//!    renaming algorithm, decide own input on name 1 and the other's input
-//!    otherwise.
+//! 2. **Reduction** ([`ConsensusViaRenaming`], assembled by [`lemma11`]):
+//!    those two processes would solve wait-free 2-process consensus —
+//!    publish the input, run the renaming algorithm, decide own input on
+//!    name 1 and the other's input otherwise.
 //! 3. **FLP** ([`refute_strong_2_renaming`]): wait-free 2-process consensus
 //!    is impossible, so exhaustive exploration of the derived protocol finds
 //!    either a safety violation (disagreement / a name outside `{1, 2}` /
@@ -185,57 +185,45 @@ pub fn refute_strong_2_renaming(
             }
         }
     }
-    let (a, b) = solo_collision(candidate, pool).expect("pigeonhole: solo runs must collide");
-    // Build the derived 2-process consensus instance with distinct inputs.
-    let mut ex = Executor::new();
-    let pa = ex.add_process(Box::new(WrappedCvr { me: a, other: b, input: 0 }.build(candidate)));
-    let pb = ex.add_process(Box::new(WrappedCvr { me: b, other: a, input: 1 }.build(candidate)));
-    let check = move |ex: &Executor| -> Option<String> {
-        let d: Vec<Option<&Value>> = [pa, pb].iter().map(|p| ex.status(*p).decision()).collect();
+    let colliding = solo_collision(candidate, pool).expect("pigeonhole: solo runs must collide");
+    let ex = lemma11(candidate, colliding);
+    let check = |ex: &Executor| -> Option<String> {
+        let d: Vec<Option<&Value>> = ex.pids().map(|p| ex.status(p).decision()).collect();
         if let (Some(x), Some(y)) = (d[0], d[1]) {
             if x != y {
                 return Some(format!("disagreement: {x} vs {y}"));
             }
         }
-        for (p, input) in [(pa, 0i64), (pb, 1i64)] {
-            if let Some(v) = ex.status(p).decision() {
-                let ok = *v == Value::Int(0) || *v == Value::Int(1);
-                if !ok {
-                    return Some(format!("invalid decision {v}"));
-                }
-                let _ = input;
+        for v in d.into_iter().flatten() {
+            let ok = *v == Value::Int(0) || *v == Value::Int(1);
+            if !ok {
+                return Some(format!("invalid decision {v}"));
             }
         }
         None
     };
     let report = explore_all(&ex, &check, limits);
-    Refutation { colliding: (a, b), report }
+    Refutation { colliding, report }
 }
 
-/// Helper gluing a boxed candidate into the reduction automaton (boxed
-/// automata are `Clone` but not `Hash`; the wrapper hashes the reduction's
-/// own state plus the inner label, which is sufficient for exploration of
-/// these small protocols only because the inner automaton's state is also
-/// reflected in shared memory after every step it takes — see the caveat in
-/// the module docs of `wfa-modelcheck`).
-struct WrappedCvr {
-    me: usize,
-    other: usize,
-    input: i64,
-}
-
-impl WrappedCvr {
-    fn build(self, candidate: &CandidateRenaming<'_>) -> ConsensusViaRenaming<BoxedAuto> {
-        ConsensusViaRenaming::new(
-            self.me,
-            self.other,
-            Value::Int(self.input),
-            BoxedAuto(candidate(self.me)),
-        )
+/// The derived 2-process consensus of Lemma 11 over `candidate` and its
+/// colliding slots `(a, b)`: `Pid(0)` is slot `a` proposing 0 and `Pid(1)`
+/// is slot `b` proposing 1, each deciding through its own copy of the
+/// candidate.
+pub fn lemma11(candidate: &CandidateRenaming<'_>, (a, b): (usize, usize)) -> Executor {
+    let mut ex = Executor::new();
+    for (me, other, input) in [(a, b, 0), (b, a, 1)] {
+        let inner = BoxedAuto(candidate(me));
+        ex.add_process(Box::new(ConsensusViaRenaming::new(me, other, Value::Int(input), inner)));
     }
+    ex
 }
 
-/// A boxed automaton with state-reflecting hash.
+/// A boxed automaton with state-reflecting hash: boxed automata are `Clone`
+/// but not `Hash`, so this hashes the inner automaton's fingerprint. That
+/// suffices for exploring these small protocols only because the inner
+/// automaton's state is also reflected in shared memory after every step it
+/// takes (see the caveat in the module docs of `wfa-modelcheck`).
 #[derive(Clone)]
 pub struct BoxedAuto(pub Box<dyn DynProcess>);
 
@@ -263,22 +251,16 @@ pub fn replay_violation(
     candidate: &CandidateRenaming<'_>,
     refutation: &Refutation,
 ) -> Option<Vec<Value>> {
-    let (reason, sched) = refutation.report.violation.as_ref()?;
-    let _ = reason;
+    let (_, sched) = refutation.report.violation.as_ref()?;
     let (a, b) = refutation.colliding;
     if a == b {
         return None; // solo violation, nothing to replay
     }
-    let mut ex = Executor::new();
-    let pa = ex.add_process(Box::new(WrappedCvr { me: a, other: b, input: 0 }.build(candidate)));
-    let pb = ex.add_process(Box::new(WrappedCvr { me: b, other: a, input: 1 }.build(candidate)));
+    let mut ex = lemma11(candidate, (a, b));
     for pid in sched {
         ex.step(*pid, None);
     }
-    Some(vec![
-        ex.status(pa).decision().cloned().unwrap_or(Value::Unit),
-        ex.status(pb).decision().cloned().unwrap_or(Value::Unit),
-    ])
+    Some(ex.pids().map(|p| ex.status(p).decision().cloned().unwrap_or(Value::Unit)).collect())
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub mod prelude {
         SafetyCheck,
     };
     pub use crate::lemma11::{
-        refute_strong_2_renaming, replay_violation, solo_collision, ConsensusViaRenaming,
-        Refutation,
+        lemma11, refute_strong_2_renaming, replay_violation, solo_collision,
+        ConsensusViaRenaming, Refutation,
     };
 }

@@ -15,9 +15,7 @@ use wfa_kernel::memory::RegKey;
 use wfa_kernel::process::{DynProcess, Process, Status, StepCtx};
 use wfa_kernel::value::{Pid, Value};
 use wfa_modelcheck::explorer::{explore_all, k_concurrent_filter, ExploreReport, Explorer, Limits};
-use wfa_modelcheck::lemma11::{
-    refute_strong_2_renaming, solo_collision, BoxedAuto, ConsensusViaRenaming,
-};
+use wfa_modelcheck::lemma11::{lemma11, refute_strong_2_renaming, solo_collision};
 
 use wfa_algorithms::renaming::RenamingFig4;
 
@@ -213,11 +211,7 @@ fn multi_state_cycle_report_is_pinned() {
 /// explores, built from the Figure 4 automaton misused as (2,2)-renaming.
 fn derived_consensus(m: usize) -> Executor {
     let cand = |i: usize| Box::new(RenamingFig4::new(i, m)) as Box<dyn DynProcess>;
-    let (a, b) = solo_collision(&cand, &[0, 1, 2]).expect("pigeonhole collision");
-    let mut ex = Executor::new();
-    ex.add_process(Box::new(ConsensusViaRenaming::new(a, b, Value::Int(0), BoxedAuto(cand(a)))));
-    ex.add_process(Box::new(ConsensusViaRenaming::new(b, a, Value::Int(1), BoxedAuto(cand(b)))));
-    ex
+    lemma11(&cand, solo_collision(&cand, &[0, 1, 2]).expect("pigeonhole collision"))
 }
 
 fn consensus_check(ex: &Executor) -> Option<String> {

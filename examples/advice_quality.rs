@@ -13,22 +13,14 @@
 //! ```
 
 use wfa::core::harness::EfdRun;
+use wfa::core::solver::ksa_system;
 use wfa::fd::detectors::FdGen;
 use wfa::fd::pattern::FailurePattern;
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::value::Value;
-use wfa_algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 
 fn decision_time(n: usize, k: usize, stab: u64, seed: u64, adversarial: bool) -> Option<(u64, u64)> {
     let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k as u32, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k as u32)) as Box<dyn DynProcess>)
-        .collect();
+    let (c, s) = ksa_system(n, k, &inputs);
     let fd = if adversarial {
         FdGen::vector_omega_k_adversarial(FailurePattern::failure_free(n), k, stab, seed)
     } else {

@@ -10,12 +10,11 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use wfa::kernel::executor::Executor;
 use wfa::kernel::process::DynProcess;
 use wfa::kernel::sched::{run_schedule, NullEnv, Replay};
 use wfa::kernel::value::Value;
 use wfa::modelcheck::explorer::Limits;
-use wfa::modelcheck::lemma11::{refute_strong_2_renaming, ConsensusViaRenaming, BoxedAuto};
+use wfa::modelcheck::lemma11::{lemma11, refute_strong_2_renaming};
 use wfa::obs::metrics::MetricsHandle;
 use wfa::obs::span::timeline;
 use wfa_algorithms::renaming::RenamingFig4;
@@ -34,20 +33,8 @@ fn main() {
     //    observability layer: every effective step becomes a stable-keyed
     //    event, and the counters double-check what the replay did.
     let obs = MetricsHandle::with_events(4096);
-    let mut ex = Executor::new();
+    let mut ex = lemma11(&candidate, (a, b));
     ex.set_metrics(obs.clone());
-    ex.add_process(Box::new(ConsensusViaRenaming::new(
-        a,
-        b,
-        Value::Int(0),
-        BoxedAuto(candidate(a)),
-    )));
-    ex.add_process(Box::new(ConsensusViaRenaming::new(
-        b,
-        a,
-        Value::Int(1),
-        BoxedAuto(candidate(b)),
-    )));
     let mut replay = Replay::new(schedule);
     run_schedule(&mut ex, &mut replay, &mut NullEnv, 10_000);
 

@@ -12,27 +12,14 @@
 //!   run cannot *prove* unsolvability, but it shows precisely the behaviour
 //!   the proposition's proof describes, with safety intact.
 
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-use wfa::core::harness::{CsProcs, EfdRun, RunReport};
+use wfa::core::harness::{EfdRun, RunReport};
+use wfa::core::solver::ksa_system;
 use wfa::fd::detectors::FdGen;
 use wfa::fd::pattern::FailurePattern;
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::sched::{Starve, StopReason};
 use wfa::kernel::value::{Pid, Value};
 use wfa::tasks::agreement::SetAgreement;
 use wfa::tasks::task::Task;
-
-fn ksa_system(n: usize, k: u32, inputs: &[Value]) -> CsProcs {
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-        .collect();
-    (c, s)
-}
 
 /// Proposition 3: the EFD solver under personified runs (C_i frozen at
 /// S_i's crash time) still satisfies the task, and every C-process whose
@@ -41,19 +28,19 @@ fn ksa_system(n: usize, k: u32, inputs: &[Value]) -> CsProcs {
 fn e10_personified_runs_inherit_the_solution() {
     for seed in 0..8u64 {
         let n = 4;
-        let k = 2u32;
+        let k = 2;
         let crashes = [(1usize, 50u64), (3, 90)];
         let pattern = FailurePattern::with_crashes(n, &crashes);
         let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
         let (c, s) = ksa_system(n, k, &inputs);
-        let fd = FdGen::vector_omega_k(pattern, k as usize, 150, seed);
+        let fd = FdGen::vector_omega_k(pattern, k, 150, seed);
         let mut run = EfdRun::new(c, s, fd);
         // Personification: freeze C_i exactly when S_i crashes.
         let stops: Vec<(Pid, u64)> = crashes.iter().map(|(q, t)| (Pid(*q), *t)).collect();
         let base = run.fair_sched(seed);
         let mut sched = Starve::new(base, stops);
         let stop = run.run(&mut sched, 400_000);
-        let task = SetAgreement::new(n, k as usize);
+        let task = SetAgreement::new(n, k);
         let report = RunReport::evaluate(&run, &task, &inputs, stop);
         report.assert_safe();
         for i in [0usize, 2] {

@@ -13,12 +13,9 @@
 //!    repeats; the sweep and the model-check explorer are each one
 //!    sequential pass.
 
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-use wfa::core::harness::EfdRun;
-use wfa::fd::detectors::FdGen;
+use wfa::core::solver;
 use wfa::kernel::executor::Executor;
-use wfa::kernel::process::DynProcess;
-use wfa::kernel::value::{Pid, Value};
+use wfa::kernel::value::Pid;
 use wfa::modelcheck::explorer::{Explorer, Limits};
 use wfa::obs::export::{to_chrome, to_jsonl};
 use wfa::obs::json::Json;
@@ -26,23 +23,11 @@ use wfa::obs::metrics::{MetricsHandle, Snapshot};
 use wfa::obs::span::timeline;
 use wfa_algorithms::renaming::RenamingFig4;
 
-/// The `wfa-cli ksa` default run (n=4, k=2, stab=200, seed=7) with metrics.
+/// The `wfa-cli ksa` default run (n=4, k=2, stab=200, crashes=1, seed=7)
+/// with metrics.
 fn ksa_run(obs: &MetricsHandle) -> Option<u64> {
-    let (n, k, stab, seed) = (4usize, 2u32, 200u64, 7u64);
-    let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-    let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
-    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-        .collect();
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
-    let mut sched = run.fair_sched(seed ^ 0xc11);
-    run.run_until_decided(&mut sched, 5_000_000)
+    let (run, mut sched) = solver::ksa_run(4, 2, 200, 1, 7);
+    run.with_metrics(obs.clone()).run_until_decided(&mut sched, 5_000_000)
 }
 
 #[test]

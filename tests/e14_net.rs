@@ -14,51 +14,35 @@
 //! 3. **Determinism** — exports repeat byte for byte, and the `ksa-net`
 //!    fault-sweep report and snapshot are pinned by digest.
 
-use wfa::algorithms::renaming::RenamingFig4;
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-use wfa::core::harness::EfdRun;
-use wfa::fd::detectors::FdGen;
+use wfa::algorithms::renaming::rename_run;
+use wfa::core::solver;
+use wfa::faults::backend::BackendSpec;
 use wfa::kernel::executor::Executor;
-use wfa::kernel::prelude::{run_schedule, KConcurrent, NullEnv};
-use wfa::kernel::process::DynProcess;
-use wfa::kernel::value::{Pid, Value};
-use wfa::net::abd::AbdBackend;
-use wfa::net::config::NetConfig;
+use wfa::kernel::value::Value;
 use wfa::obs::export::{to_chrome, to_jsonl};
 use wfa::obs::metrics::MetricsHandle;
 
 /// The `wfa-cli ksa` default run (n=4, k=2, stab=200, seed=7), optionally
-/// over the ABD backend with the CLI's `--backend net` seed derivation.
+/// over the ABD backend as `--backend net` builds it.
 fn ksa_run(obs: &MetricsHandle, net: bool) -> (Option<u64>, Vec<Value>, u64) {
     ksa_shaped(obs, 4, 200, net)
 }
 
-/// A seed-7, k=2 EFD ksa run of `n` processes under a detector that
-/// stabilises at `stab`, optionally over `n` ABD replicas. Returns the
-/// slots used, the output vector and the run fingerprint.
+/// The `wfa-cli ksa` run of `n` processes with a detector that stabilises
+/// at `stab` (k=2, crashes=1, seed=7), optionally over `n` ABD replicas.
+/// Returns the slots used, the output vector and the run fingerprint.
 fn ksa_shaped(
     obs: &MetricsHandle,
     n: usize,
     stab: u64,
     net: bool,
 ) -> (Option<u64>, Vec<Value>, u64) {
-    let (k, seed) = (2u32, 7u64);
-    let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-    let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
-    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-        .collect();
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
+    let seed = 7;
+    let (run, mut sched) = solver::ksa_run(n, 2, stab, 1, seed);
+    let mut run = run.with_metrics(obs.clone());
     if net {
-        run = run.with_backend(Box::new(AbdBackend::new(NetConfig::new(n, seed ^ 0x7e7))));
+        run = run.with_backend(BackendSpec::net(n).build(seed, &[]));
     }
-    let mut sched = run.fair_sched(seed ^ 0xc11);
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let outputs = run.executor.output_vector();
     (slots, outputs, run.executor.fingerprint())
@@ -129,12 +113,9 @@ fn e14_net_and_shm_renaming_decide_identically() {
     let decide = |net: bool, k: usize, seed: u64| -> Vec<Option<Value>> {
         let mut ex = Executor::new();
         if net {
-            ex.set_backend(Box::new(AbdBackend::new(NetConfig::new(j, seed ^ 0x7e7))));
+            ex.set_backend(BackendSpec::net(j).build(seed, &[]));
         }
-        let pids: Vec<Pid> =
-            (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-        let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-        run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+        let pids = rename_run(&mut ex, j, m, k, seed);
         pids.iter().map(|p| ex.status(*p).decision().cloned()).collect()
     };
     for k in 1..=j {
@@ -165,11 +146,8 @@ fn e14_abd8_ksa_and_renaming_fingerprints_are_pinned() {
 
     let (j, m, k, seed) = (4usize, 5usize, 2usize, 7u64);
     let mut ex = Executor::new();
-    ex.set_backend(Box::new(AbdBackend::new(NetConfig::new(8, seed ^ 0x7e7))));
-    let pids: Vec<Pid> =
-        (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-    let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-    run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+    ex.set_backend(BackendSpec::net(8).build(seed, &[]));
+    let pids = rename_run(&mut ex, j, m, k, seed);
     let names: Vec<Option<Value>> =
         pids.iter().map(|p| ex.status(*p).decision().cloned()).collect();
     assert_eq!(ex.clock(), 18, "renaming slots");

@@ -16,13 +16,10 @@
 //! 3. **Determinism** — recovery exports repeat byte for byte, and the
 //!    `ksa-net-reorder` sweep report and snapshot are pinned by digest.
 
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-use wfa::core::harness::EfdRun;
-use wfa::fd::detectors::FdGen;
+use wfa::core::solver;
+use wfa::faults::backend::BackendSpec;
 use wfa::kernel::backend::Resolution;
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::value::Value;
-use wfa::net::abd::AbdBackend;
 use wfa::net::config::{Durability, NetConfig, NetFault};
 use wfa::obs::export::to_jsonl;
 use wfa::obs::metrics::MetricsHandle;
@@ -44,23 +41,12 @@ fn ksa_run_lifecycle(
     obs: &MetricsHandle,
     net: Option<NetConfig>,
 ) -> (Option<u64>, Vec<Value>, usize, Vec<Resolution>) {
-    let (n, k, stab, seed) = (4usize, 2u32, 200u64, 7u64);
-    let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-    let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
-    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-        .collect();
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
+    let seed = 7;
+    let (run, mut sched) = solver::ksa_run(4, 2, 200, 1, seed);
+    let mut run = run.with_metrics(obs.clone());
     if let Some(cfg) = net {
-        run = run.with_backend(Box::new(AbdBackend::new(cfg)));
+        run = run.with_backend(BackendSpec::Net { cfg, shards: 1 }.build(seed, &[]));
     }
-    let mut sched = run.fair_sched(seed ^ 0xc11);
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let outputs = run.executor.output_vector();
     let degradations = run.executor.degradations().len();
@@ -68,9 +54,10 @@ fn ksa_run_lifecycle(
     (slots, outputs, degradations, resolutions)
 }
 
-/// The CLI's `--backend net` config for the default ksa run.
+/// The CLI's `--backend net` config for the default ksa run: 4 healthy
+/// replicas, seeded from the run seed when the backend is built.
 fn net_cfg() -> NetConfig {
-    NetConfig::new(4, 7 ^ 0x7e7)
+    NetConfig::new(4, 0)
 }
 
 /// One replica crashes mid-run and recovers later; with 4 replicas the

@@ -19,14 +19,13 @@
 //!    variant this build does not know fails loudly instead of silently
 //!    dropping the fault.
 
-use wfa::algorithms::renaming::RenamingFig4;
+use wfa::algorithms::renaming::rename_run;
+use wfa::faults::backend::BackendSpec;
 use wfa::faults::prelude::{FaultPlan, Json, Scenario, Violation, ViolationKind};
 use wfa::faults::run::{run_plan, run_plan_observed};
 use wfa::kernel::backend::DegradationKind;
 use wfa::kernel::executor::Executor;
-use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv};
-use wfa::kernel::value::{Pid, Value};
-use wfa::net::abd::AbdBackend;
+use wfa::kernel::value::Value;
 use wfa::net::config::{NetConfig, NetFault};
 use wfa::obs::metrics::MetricsHandle;
 
@@ -60,29 +59,25 @@ fn e17_renaming_decisions_survive_corruption_byte_identically() {
     // The j=3 renaming ensemble from E16 under two corruption windows at
     // once: a permanent one on node 0 plus whole-run windows of stride 3
     // on every replica.
-    let rename_run = |seed: u64, net: Option<NetConfig>| -> Vec<Option<Value>> {
-        let (j, m) = (3usize, 4usize);
+    let names = |seed: u64, net: Option<NetConfig>| -> Vec<Option<Value>> {
         let mut ex = Executor::new();
         if let Some(cfg) = net {
-            ex.set_backend(Box::new(AbdBackend::new(cfg)));
+            ex.set_backend(BackendSpec::Net { cfg, shards: 1 }.build(seed, &[]));
         }
-        let pids: Vec<Pid> =
-            (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-        let mut sched = KConcurrent::with_seed(pids.clone(), [], 2, seed);
-        run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+        let pids = rename_run(&mut ex, 3, 4, 2, seed);
         pids.iter().map(|p| ex.status(*p).decision().cloned()).collect()
     };
     for seed in [3u64, 12] {
-        let baseline = rename_run(seed, None);
+        let baseline = names(seed, None);
         assert!(baseline.iter().any(Option::is_some), "seed {seed}: someone decides");
-        let clean_net = rename_run(seed, Some(NetConfig::new(3, seed ^ 0x7e7)));
+        let clean_net = names(seed, Some(NetConfig::new(3, 0)));
         assert_eq!(clean_net, baseline, "seed {seed}: healthy net matches shm");
-        let mut cfg = NetConfig::new(3, seed ^ 0x7e7);
+        let mut cfg = NetConfig::new(3, 0);
         cfg.faults = (0..3)
             .map(|node| NetFault::CorruptMessage { at: 0, until: u64::MAX, node, every: 3 })
             .collect();
         cfg.faults.push(NetFault::CorruptMessage { at: 0, until: 10_000, node: 0, every: 1 });
-        let damaged = rename_run(seed, Some(cfg));
+        let damaged = names(seed, Some(cfg));
         assert_eq!(damaged, baseline, "seed {seed}: corruption must not move any name");
     }
 }

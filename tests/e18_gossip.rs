@@ -21,43 +21,27 @@
 //! 5. **Determinism** — exports repeat byte for byte, and the gossip
 //!    fault-sweep reports and snapshots are pinned by digest.
 
-use wfa::algorithms::renaming::RenamingFig4;
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
-use wfa::core::harness::EfdRun;
-use wfa::fd::detectors::FdGen;
+use wfa::algorithms::renaming::rename_run;
+use wfa::core::solver;
+use wfa::faults::backend::BackendSpec;
 use wfa::gossip::backend::GossipBackend;
-use wfa::gossip::config::GossipConfig;
 use wfa::kernel::backend::{DegradationKind, MemoryBackend};
 use wfa::kernel::executor::Executor;
 use wfa::kernel::memory::RegKey;
-use wfa::kernel::prelude::{run_schedule, KConcurrent, NullEnv};
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::value::{Pid, Value};
-use wfa::net::config::{NetConfig, NetFault};
+use wfa::net::config::NetFault;
 use wfa::obs::export::{to_chrome, to_jsonl};
 use wfa::obs::metrics::MetricsHandle;
 
 /// The `wfa-cli ksa` default run (n=4, k=2, stab=200, seed=7), optionally
-/// over the gossip backend with the CLI's `--backend gossip` seed
-/// derivation.
+/// over the gossip backend as `--backend gossip` builds it.
 fn ksa_run(obs: &MetricsHandle, gossip: bool) -> (Option<u64>, Vec<Value>, u64) {
-    let (n, k, stab, seed) = (4usize, 2u32, 200u64, 7u64);
-    let pattern = wfa::fd::environment::Environment::up_to(n, 1).sample(seed, stab);
-    let fd = FdGen::vector_omega_k(pattern, k as usize, stab, seed);
-    let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-    let c: Vec<Box<dyn DynProcess>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Box::new(SetAgreementC::new(i, k, v.clone())) as Box<dyn DynProcess>)
-        .collect();
-    let s: Vec<Box<dyn DynProcess>> = (0..n)
-        .map(|q| Box::new(SetAgreementS::new(q as u32, n as u32, n, k)) as Box<dyn DynProcess>)
-        .collect();
-    let mut run = EfdRun::new(c, s, fd).with_metrics(obs.clone());
+    let seed = 7;
+    let (run, mut sched) = solver::ksa_run(4, 2, 200, 1, seed);
+    let mut run = run.with_metrics(obs.clone());
     if gossip {
-        run = run.with_backend(Box::new(GossipBackend::new(GossipConfig::new(n, seed ^ 0x7e7))));
+        run = run.with_backend(BackendSpec::gossip(4).build(seed, &[]));
     }
-    let mut sched = run.fair_sched(seed ^ 0xc11);
     let slots = run.run_until_decided(&mut sched, 5_000_000);
     let outputs = run.executor.output_vector();
     (slots, outputs, run.executor.fingerprint())
@@ -130,12 +114,9 @@ fn e18_gossip_and_shm_renaming_decide_identically() {
     let decide = |gossip: bool, k: usize, seed: u64| -> Vec<Option<Value>> {
         let mut ex = Executor::new();
         if gossip {
-            ex.set_backend(Box::new(GossipBackend::new(GossipConfig::new(j, seed ^ 0x7e7))));
+            ex.set_backend(BackendSpec::gossip(j).build(seed, &[]));
         }
-        let pids: Vec<Pid> =
-            (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-        let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-        run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+        let pids = rename_run(&mut ex, j, m, k, seed);
         pids.iter().map(|p| ex.status(*p).decision().cloned()).collect()
     };
     for k in 1..=j {
@@ -146,6 +127,17 @@ fn e18_gossip_and_shm_renaming_decide_identically() {
             assert!(shm.iter().any(Option::is_some), "k={k} seed={seed}: nobody decided");
         }
     }
+}
+
+/// An eager `n`-replica gossip cluster under `faults`, built for run seed 7
+/// as every run builds its substrate.
+fn cluster(n: usize, faults: &[NetFault]) -> Box<dyn MemoryBackend> {
+    BackendSpec::gossip(n).build(7, faults)
+}
+
+/// The gossip backend inside `b`, for the convergence oracles.
+fn gossip(b: &mut Box<dyn MemoryBackend>) -> &mut GossipBackend {
+    b.as_any_mut().and_then(|a| a.downcast_mut()).expect("a gossip backend")
 }
 
 /// Drives a deterministic op mix over `g`: interleaved writes and reads on
@@ -173,13 +165,11 @@ fn e18_every_non_total_partition_plan_converges_after_the_heal() {
     let n = 4usize;
     let plans: Vec<Vec<usize>> = vec![vec![0], vec![1], vec![3], vec![0, 1], vec![1, 2, 3]];
     for isolated in plans {
-        let mut net = NetConfig::new(n, 7 ^ 0x7e7);
-        net.faults = vec![
-            NetFault::Partition { at: 0, nodes: isolated.clone() },
-            NetFault::Heal { at: 600 },
-        ];
-        let mut g = GossipBackend::new(GossipConfig { net, ..GossipConfig::new(n, 7 ^ 0x7e7) });
-        drive_ops(&mut g, 700); // ops through the partition and past the heal
+        let faults =
+            [NetFault::Partition { at: 0, nodes: isolated.clone() }, NetFault::Heal { at: 600 }];
+        let mut b = cluster(n, &faults);
+        let g = gossip(&mut b);
+        drive_ops(g, 700); // ops through the partition and past the heal
         let rounds = g
             .run_rounds_until_converged(3 * n as u64)
             .unwrap_or_else(|| panic!("partition {isolated:?} did not converge after the heal"));
@@ -195,13 +185,13 @@ fn e18_churn_plans_converge_after_recovery() {
     // deltas from the write-ahead log and anti-entropy restores the rest.
     let n = 4usize;
     for node in 0..n {
-        let mut net = NetConfig::new(n, 7 ^ 0x7e7);
-        net.faults = vec![
+        let faults = [
             NetFault::CrashReplica { at: 120, node },
             NetFault::RecoverReplica { at: 500, node },
         ];
-        let mut g = GossipBackend::new(GossipConfig { net, ..GossipConfig::new(n, 7 ^ 0x7e7) });
-        drive_ops(&mut g, 700);
+        let mut b = cluster(n, &faults);
+        let g = gossip(&mut b);
+        drive_ops(g, 700);
         let rounds = g
             .run_rounds_until_converged(3 * n as u64)
             .unwrap_or_else(|| panic!("churn at node {node} did not converge after recovery"));
@@ -263,15 +253,15 @@ fn e18_stranded_home_opens_and_closes_a_pinned_stale_spell() {
     let n = 4usize;
     // Pick the home of key index 0 so the jammed writes are on the cycle.
     let h = home_of(0, n);
-    let mut net = NetConfig::new(n, 7 ^ 0x7e7);
-    net.faults = vec![
+    let faults = [
         NetFault::Partition { at: 40, nodes: vec![h] },
         NetFault::CrashReplica { at: 400, node: h },
         NetFault::Heal { at: 401 },
         NetFault::RecoverReplica { at: 1_200, node: h },
     ];
-    let mut g = GossipBackend::new(GossipConfig { net, ..GossipConfig::new(n, 7 ^ 0x7e7) });
-    drive_ops(&mut g, 1_600);
+    let mut b = cluster(n, &faults);
+    let g = gossip(&mut b);
+    drive_ops(g, 1_600);
     let degraded = g.drain_degradations();
     assert!(!degraded.is_empty(), "the stranded home must degrade past the horizon");
     assert!(degraded.iter().all(|d| d.kind == DegradationKind::AdviceStale));

@@ -8,29 +8,14 @@
 //! never output — under several leaders, crash patterns, and input-vector
 //! sets.
 
-use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 use wfa::core::reduction::{emulated_key, AsimBuilders, ReductionS};
 use wfa::fd::detectors::{FdGen, HistoryEntry};
 use wfa::fd::pattern::FailurePattern;
 use wfa::fd::reduction::omega_from_anti_omega_1;
 use wfa::fd::spec::{check_anti_omega_k, check_omega};
 use wfa::kernel::executor::Executor;
-use wfa::kernel::process::DynProcess;
 use wfa::kernel::sched::{RandomSched, Scheduler};
 use wfa::kernel::value::Value;
-
-fn consensus_builders(n: usize) -> AsimBuilders {
-    // `fn` items cannot capture; the simulated system size is fixed at 3
-    // (the experiment's size), asserted here.
-    assert_eq!(n, 3);
-    fn c_part(i: usize, input: &Value) -> Box<dyn DynProcess> {
-        Box::new(SetAgreementC::new(i, 1, input.clone()))
-    }
-    fn s_part(q: usize) -> Box<dyn DynProcess> {
-        Box::new(SetAgreementS::new(q as u32, 3, 3, 1))
-    }
-    AsimBuilders { c_part, s_part }
-}
 
 fn run_extraction(
     pattern: FailurePattern,
@@ -39,12 +24,14 @@ fn run_extraction(
     slots: u64,
 ) -> (FailurePattern, Vec<HistoryEntry>) {
     let n = pattern.n();
+    assert_eq!(n, 3, "AsimBuilders::CONSENSUS3 simulates three processes");
     let inputs: Vec<Vec<Value>> =
         vec![(0..n as i64).map(Value::Int).collect(), vec![Value::Int(0); n]];
     let mut fd = FdGen::vector_omega_k(pattern.clone(), 1, stab, seed);
     let mut ex = Executor::new();
     for q in 0..n {
-        ex.add_process(Box::new(ReductionS::new(q, n, 1, consensus_builders(n), inputs.clone())));
+        let s = ReductionS::new(q, n, 1, AsimBuilders::CONSENSUS3, inputs.clone());
+        ex.add_process(Box::new(s));
     }
     let mut sched = RandomSched::over_all(&ex, seed ^ 0x44);
     let mut history = Vec::new();

@@ -8,7 +8,7 @@
 //! advice-vs-baseline crossover the evaluation section of a systems paper
 //! would plot.
 
-use wfa::algorithms::renaming::{RenamingFig3, RenamingFig4};
+use wfa::algorithms::renaming::{rename_run, RenamingFig3, RenamingFig4};
 use wfa::kernel::executor::Executor;
 use wfa::kernel::sched::{run_schedule, KConcurrent, NullEnv, RandomSched, Starve};
 use wfa::kernel::value::{Pid, Value};
@@ -26,10 +26,7 @@ fn e8_fig4_respects_j_plus_k_minus_1_across_sizes() {
         for k in 1..=j {
             for seed in 0..15u64 {
                 let mut ex = Executor::new();
-                let pids: Vec<Pid> =
-                    (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-                let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-                run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+                let pids = rename_run(&mut ex, j, m, k, seed);
                 let names: Vec<i64> =
                     names_of(&ex, &pids).into_iter().map(|n| n.expect("decided")).collect();
                 let mut sorted = names.clone();
@@ -58,10 +55,7 @@ fn e8_namespace_histogram_shows_crossover() {
         let mut max_name = 0i64;
         for seed in 0..120u64 {
             let mut ex = Executor::new();
-            let pids: Vec<Pid> =
-                (0..j).map(|i| ex.add_process(Box::new(RenamingFig4::new(i, m)))).collect();
-            let mut sched = KConcurrent::with_seed(pids.clone(), [], k, seed);
-            run_schedule(&mut ex, &mut sched, &mut NullEnv, 5_000_000);
+            let pids = rename_run(&mut ex, j, m, k, seed);
             for n in names_of(&ex, &pids) {
                 max_name = max_name.max(n.expect("decided"));
             }

@@ -17,7 +17,7 @@ use wfa::kernel::memory::RegKey;
 use wfa::kernel::process::{DynProcess, Process, Status, StepCtx};
 use wfa::kernel::value::{Pid, Value};
 use wfa::modelcheck::explorer::{ExploreReport, Explorer, Limits, SafetyCheck};
-use wfa::modelcheck::lemma11::{solo_collision, BoxedAuto, ConsensusViaRenaming};
+use wfa::modelcheck::lemma11::{lemma11, solo_collision};
 use wfa::objects::adopt_commit::AdoptCommit;
 use wfa::objects::driver::{Driver, Step};
 use wfa::obs::metrics::{Counter, MetricsHandle};
@@ -40,22 +40,10 @@ fn lemma11_fig4_refutation_is_pinned() {
     // A Figure-4 candidate for strong 2-renaming yields 2-process
     // consensus, which the explorer refutes.
     let cand = |i: usize| Box::new(RenamingFig4::new(i, 4)) as Box<dyn DynProcess>;
-    let (a, b) = solo_collision(&cand, &[0, 1, 2]).expect("pigeonhole collision");
-    let mut ex = Executor::new();
-    let pa = ex.add_process(Box::new(ConsensusViaRenaming::new(
-        a,
-        b,
-        Value::Int(0),
-        BoxedAuto(cand(a)),
-    )));
-    let pb = ex.add_process(Box::new(ConsensusViaRenaming::new(
-        b,
-        a,
-        Value::Int(1),
-        BoxedAuto(cand(b)),
-    )));
-    let consensus = move |ex: &Executor| -> Option<String> {
-        let (x, y) = (ex.status(pa).decision(), ex.status(pb).decision());
+    let colliding = solo_collision(&cand, &[0, 1, 2]).expect("pigeonhole collision");
+    let ex = lemma11(&cand, colliding);
+    let consensus = |ex: &Executor| -> Option<String> {
+        let (x, y) = (ex.status(Pid(0)).decision(), ex.status(Pid(1)).decision());
         if let (Some(x), Some(y)) = (x, y) {
             if x != y {
                 return Some(format!("disagreement: {x} vs {y}"));
